@@ -64,7 +64,8 @@ void StaleResolutionTable(Report& report) {
       // registry-based runtime would use for cold references.
       SimTime t0 = w.rt.Now();
       if (home) {
-        CoreId where = oc.LocateViaHome(beta.target());
+        CoreId where =
+            sim::Await(oc.directory().LookupAsync(beta.target())).location;
         oc.trackers().SetForward(beta.target(), where, "test.Message");
       }
       core::InvokeResult r =

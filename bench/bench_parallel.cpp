@@ -100,17 +100,13 @@ double InvokeRunMs(int localities, bool print_telemetry = false) {
   if (print_telemetry && localities > 0) {
     rt.SyncSerialStats();
     const monitor::Registry& reg = rt.metrics();
-    std::printf("telemetry (N=%d): handoffs=%llu overflows=%llu rounds=%llu "
-                "steals=%llu max_queue_depth=%llu\n",
+    std::printf("telemetry (N=%d): handoffs=%llu rounds=%llu "
+                "max_queue_depth=%llu\n",
                 localities,
                 static_cast<unsigned long long>(
                     reg.CounterValue("locality.handoffs")),
                 static_cast<unsigned long long>(
-                    reg.CounterValue("locality.handoff_overflows")),
-                static_cast<unsigned long long>(
                     reg.CounterValue("locality.rounds")),
-                static_cast<unsigned long long>(
-                    reg.CounterValue("locality.steals")),
                 static_cast<unsigned long long>(
                     static_cast<std::uint64_t>(
                         reg.GaugeValue("locality.queue_depth"))));

@@ -961,18 +961,6 @@ std::vector<CoreId> Core::RemoteSubscriptionPeers() const {
   return {peers.begin(), peers.end()};
 }
 
-CoreId Core::LocateViaHome(ComletId id) {
-  return sim::Await(LocateViaHomeAsync(id));
-}
-
-sim::Future<CoreId> Core::LocateViaHomeAsync(ComletId id) {
-  sim::Scheduler::AffinityScope aff(id_.value);
-  if (!id.valid() || !directory_->enabled())
-    return sim::MakeReadyFuture(scheduler(), CoreId{});
-  return directory_->LookupAsync(id).Then(
-      [](wire::DirectoryHint& h) { return h.found ? h.location : CoreId{}; });
-}
-
 void Core::Crash() {
   sim::Scheduler::AffinityScope aff(id_.value);
   if (!alive_) return;

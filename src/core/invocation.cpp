@@ -45,7 +45,7 @@ sim::Future<InvokeResult> InvocationUnit::InvokeAsync(
   sim::Scheduler::AffinityScope aff(core_.id().value);
   const std::string m(method);
   // Without the home registry the fallback below could never produce a
-  // better route (LocateViaHomeAsync answers "unknown"), so don't pay for
+  // better route (the directory lookup answers "unknown"), so don't pay for
   // it: the arguments move straight into the call record instead of being
   // cloned into a rescue lambda on every invocation.
   if (!core_.runtime().home_registry_enabled())
@@ -67,14 +67,17 @@ sim::Future<InvokeResult> InvocationUnit::InvokeAsync(
         TrackerEntry* entry = core_.trackers().Find(handle.id);
         if (entry != nullptr && entry->is_local())
           std::rethrow_exception(e);  // can't improve
-        return core_.LocateViaHomeAsync(handle.id)
-            .OrElse([id = handle.id](std::exception_ptr) -> CoreId {
-              throw UnreachableError("home registry of " + ToString(id) +
-                                     " is unreachable too");
-            })
+        return core_.directory()
+            .LookupAsync(handle.id)
+            .OrElse(
+                [id = handle.id](std::exception_ptr) -> wire::DirectoryHint {
+                  throw UnreachableError("home registry of " + ToString(id) +
+                                         " is unreachable too");
+                })
             // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
             .Then([this, handle, m, args,
-                   e](CoreId home_route) -> sim::Future<InvokeResult> {
+                   e](wire::DirectoryHint& hint) -> sim::Future<InvokeResult> {
+              const CoreId home_route = hint.found ? hint.location : CoreId{};
               if (!home_route.valid() || home_route == core_.id())
                 std::rethrow_exception(e);
               TrackerEntry* entry = core_.trackers().Find(handle.id);
@@ -383,11 +386,15 @@ void InvocationUnit::ArmBackoffResend(const std::shared_ptr<AsyncCall>& call) {
       });
 }
 
+// Settling a call drops its arguments: every attempt has encoded or
+// dispatched them already, and the cancelled attempt timer — which holds
+// `call` until it is due — must not keep them alive for an RPC timeout.
 void InvocationUnit::FinalizeOk(const std::shared_ptr<AsyncCall>& call,
                                 InvokeResult res) {
   // The call settled; its slot can carry the next request (Release no-ops
   // for the local fast path, whose calls never lease one).
   core_.sessions().Release(call->skey);
+  call->req.args = std::vector<Value>();
   const SimTime now = core_.scheduler().Now();
   core_.tracer().CloseSpan(call->root.token, now, monitor::SpanOutcome::kOk,
                            res.hops);
@@ -401,6 +408,7 @@ void InvocationUnit::FinalizeError(const std::shared_ptr<AsyncCall>& call,
                                    std::exception_ptr error,
                                    monitor::SpanOutcome outcome) {
   core_.sessions().Release(call->skey);
+  call->req.args = std::vector<Value>();
   core_.inst_.invoke_errors->Inc();
   core_.tracer().CloseSpan(call->root.token, core_.scheduler().Now(), outcome);
   call->promise.Reject(std::move(error));

@@ -152,14 +152,10 @@ void Runtime::SyncSerialStats() {
   if (auto* p = dynamic_cast<sim::ParallelScheduler*>(scheduler_.get())) {
     const sim::ParallelScheduler::Telemetry t = p->telemetry();
     metrics_.counter("locality.handoffs").Inc(t.handoffs - synced_handoffs_);
-    metrics_.counter("locality.handoff_overflows")
-        .Inc(t.overflows - synced_overflows_);
     metrics_.counter("locality.rounds").Inc(t.rounds - synced_rounds_);
-    metrics_.counter("locality.steals").Inc(t.steals);  // strict affinity: 0
     auto& depth = metrics_.gauge("locality.queue_depth");
     if (t.max_queue_depth > depth.value()) depth.Set(t.max_queue_depth);
     synced_handoffs_ = t.handoffs;
-    synced_overflows_ = t.overflows;
     synced_rounds_ = t.rounds;
   }
 }

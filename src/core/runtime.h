@@ -129,7 +129,6 @@ class Runtime {
   /// ParallelScheduler telemetry already folded into `locality.*` (only
   /// touched in parallel mode, so sim-mode metric dumps are unchanged).
   std::uint64_t synced_handoffs_ = 0;
-  std::uint64_t synced_overflows_ = 0;
   std::uint64_t synced_rounds_ = 0;
 };
 

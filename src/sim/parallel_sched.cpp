@@ -10,13 +10,11 @@
 #include <vector>
 
 #include "src/common/value.h"  // FargoError
-#include "src/sim/handoff.h"
 
 namespace fargo::sim {
 
 namespace {
 
-constexpr std::uint32_t kConductorRank = 0xFFFFFFFFu;
 constexpr SimTime kNoDue = std::numeric_limits<SimTime>::max();
 
 // TaskId layout: [8b destination locality | 8b producer tag | 48b counter].
@@ -28,6 +26,19 @@ TaskId MakeId(int dest, unsigned producer_tag, std::uint64_t n) {
          (n & 0x0000FFFFFFFFFFFFull);
 }
 int IdDest(TaskId id) { return static_cast<int>(id >> 56); }
+
+struct Task {
+  SimTime at;
+  std::uint64_t prio;  // local insertion order: same-time FIFO tiebreak
+  TaskId id;
+  std::function<void()> fn;
+};
+struct Later {
+  bool operator()(const Task& a, const Task& b) const {
+    if (a.at != b.at) return a.at > b.at;
+    return a.prio > b.prio;
+  }
+};
 
 /// Routing context while a worker executes a round; null sched otherwise.
 struct WorkerCtx {
@@ -50,43 +61,34 @@ struct ParallelScheduler::Barrier {
   bool stop = false;
 };
 
+/// What one producer hands one locality in one round, in append order.
+struct ParallelScheduler::Outbox {
+  std::vector<Task> tasks;
+  std::vector<TaskId> cancels;
+};
+
+/// A thread that schedules work: worker i during its rounds, or the
+/// conductor while every worker is parked.
+struct ParallelScheduler::Producer {
+  explicit Producer(int localities)
+      : outbox{std::vector<Outbox>(static_cast<std::size_t>(localities)),
+               std::vector<Outbox>(static_cast<std::size_t>(localities))} {}
+
+  /// [round parity][destination]. Filled during round r at parity r & 1
+  /// (the conductor's writes belong to the last completed round) and
+  /// drained by the destination at the start of round r + 1.
+  std::vector<Outbox> outbox[2];
+  std::uint64_t id_seq = 1;    ///< TaskId counter
+  std::uint64_t handoffs = 0;  ///< cross-locality tasks sent (workers only)
+};
+
 struct ParallelScheduler::Locality {
-  struct Entry {
-    SimTime at;
-    std::uint64_t prio;  // local insertion order: same-time FIFO tiebreak
-    TaskId id;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.prio > b.prio;
-    }
-  };
-
-  explicit Locality(std::size_t cap) : inbox0(cap), inbox1(cap) {}
-
-  HandoffQueue& inbox(unsigned parity) { return parity ? inbox1 : inbox0; }
-
-  // -- worker-confined (the conductor touches these only while every
-  // -- worker is parked; the barrier mutex is the happens-before edge) ----
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue;
+  // Worker-confined; the conductor touches these only while every worker
+  // is parked (the barrier mutex is the happens-before edge).
+  std::priority_queue<Task, std::vector<Task>, Later> queue;
   std::unordered_set<TaskId> cancelled;
-  std::uint64_t prio_seq = 0;   ///< queue insertion order
-  std::uint64_t merge_seq = 0;  ///< producer stamp on outgoing handoffs
-  std::uint64_t id_seq = 1;     ///< TaskId counter (producer-private)
-  std::uint64_t handoffs = 0;   ///< cross-locality tasks sent
-
-  // Ping-pong MPSC inboxes: producers fill inbox(round & 1) during round
-  // `round`; the owner drains inbox((round + 1) & 1) — last round's —
-  // exclusively at the start of its round (see handoff.h).
-  HandoffQueue inbox0;
-  HandoffQueue inbox1;
-
-  // Conductor-side scheduling between pumps + cross-thread cancels.
-  mutable std::mutex staging_mu;
-  std::vector<HandoffQueue::Item> staged;
-  std::vector<TaskId> staged_cancels;
+  std::uint64_t prio_seq = 0;    ///< queue insertion order
+  std::size_t max_handoffs = 0;  ///< most worker handoffs taken in one round
 
   // Round results, published at park under the barrier mutex.
   SimTime next_due = kNoDue;
@@ -97,14 +99,13 @@ struct ParallelScheduler::Locality {
   std::thread thread;
 };
 
-ParallelScheduler::ParallelScheduler(int localities,
-                                     std::size_t handoff_capacity)
+ParallelScheduler::ParallelScheduler(int localities)
     : num_localities_(localities < 1 ? 1 : localities),
-      handoff_capacity_(handoff_capacity),
       barrier_(std::make_unique<Barrier>()) {
-  locs_.reserve(static_cast<std::size_t>(num_localities_));
   for (int i = 0; i < num_localities_; ++i)
-    locs_.push_back(std::make_unique<Locality>(handoff_capacity_));
+    locs_.push_back(std::make_unique<Locality>());
+  for (int i = 0; i <= num_localities_; ++i)
+    producers_.push_back(std::make_unique<Producer>(num_localities_));
 }
 
 ParallelScheduler::~ParallelScheduler() {
@@ -145,36 +146,31 @@ void ParallelScheduler::WorkerLoop(int idx) {
     std::exception_ptr err;
     tl_ctx = WorkerCtx{this, idx, seen, &pushed};
 
-    // Merge: conductor-staged work, cross-thread cancels, and the inbox
-    // the producers filled last round — in deterministic (at, src, seq)
-    // order, so the queue insertion order (the same-time tiebreak) is a
-    // pure function of the workload, not of thread timing.
-    std::vector<HandoffQueue::Item> batch;
-    std::vector<TaskId> cancels;
-    {
-      std::lock_guard<std::mutex> sl(self.staging_mu);
-      batch.swap(self.staged);
-      cancels.swap(self.staged_cancels);
+    // Take last round's outboxes for this locality by producer rank (the
+    // conductor last), each in append order. The queue runs same-time
+    // tasks in insertion order, so execution follows the (at, rank,
+    // append) key — a pure function of the workload, not of thread timing.
+    std::size_t handoffs = 0;
+    for (std::size_t p = 0; p < producers_.size(); ++p) {
+      Outbox& box =
+          producers_[p]->outbox[(seen - 1) & 1][static_cast<std::size_t>(idx)];
+      if (p < locs_.size()) handoffs += box.tasks.size();
+      for (Task& t : box.tasks) {
+        t.prio = self.prio_seq++;
+        self.queue.push(std::move(t));
+      }
+      box.tasks.clear();
+      self.cancelled.insert(box.cancels.begin(), box.cancels.end());
+      box.cancels.clear();
     }
-    self.inbox((seen + 1) & 1).DrainInto(batch);
-    std::sort(batch.begin(), batch.end(),
-              [](const HandoffQueue::Item& a, const HandoffQueue::Item& b) {
-                if (a.at != b.at) return a.at < b.at;
-                if (a.src != b.src) return a.src < b.src;
-                return a.seq < b.seq;
-              });
-    for (auto& item : batch)
-      self.queue.push(Locality::Entry{item.at, self.prio_seq++, item.id,
-                                      std::move(item.fn)});
-    for (TaskId id : cancels) self.cancelled.insert(id);
+    self.max_handoffs = std::max(self.max_handoffs, handoffs);
 
     // Execute everything due at the horizon. Locally-scheduled same-time
     // work runs within this round (matching the sim's run-to-completion at
-    // a timestamp); handoffs land in peers' inboxes for the next round.
+    // a timestamp); handoffs land in outboxes for the next round.
     try {
       while (!self.queue.empty() && self.queue.top().at <= limit) {
-        Locality::Entry e =
-            std::move(const_cast<Locality::Entry&>(self.queue.top()));
+        Task e = std::move(const_cast<Task&>(self.queue.top()));
         self.queue.pop();
         if (auto it = self.cancelled.find(e.id);
             it != self.cancelled.end()) {
@@ -207,52 +203,44 @@ void ParallelScheduler::WorkerLoop(int idx) {
 }
 
 TaskId ParallelScheduler::ScheduleAt(SimTime t, std::function<void()> fn) {
-  if (t < now_) t = now_;
   std::uint64_t aff = 0;
-  const bool has_aff = Scheduler::AffinityScope::Current(aff);
-  if (tl_ctx.sched == this) {
-    const int dest = has_aff ? LocalityOf(aff) : tl_ctx.loc;
-    return WorkerEnqueue(dest, t, std::move(fn));
-  }
-  const int dest = has_aff ? LocalityOf(aff) : 0;
-  return StageEnqueue(dest, t, std::move(fn));
+  if (Scheduler::AffinityScope::Current(aff))
+    return Enqueue(LocalityOf(aff), t, std::move(fn));
+  return Enqueue(tl_ctx.sched == this ? tl_ctx.loc : 0, t, std::move(fn));
 }
 
 TaskId ParallelScheduler::Post(std::uint64_t affinity, SimTime t,
                                std::function<void()> fn) {
-  if (t < now_) t = now_;
-  const int dest = LocalityOf(affinity);
-  if (tl_ctx.sched == this) return WorkerEnqueue(dest, t, std::move(fn));
-  return StageEnqueue(dest, t, std::move(fn));
+  return Enqueue(LocalityOf(affinity), t, std::move(fn));
 }
 
-TaskId ParallelScheduler::WorkerEnqueue(int dest, SimTime t,
-                                        std::function<void()> fn) {
-  Locality& self = *locs_[static_cast<std::size_t>(tl_ctx.loc)];
+ParallelScheduler::Outbox& ParallelScheduler::OutboxFor(int dest) {
+  const bool worker = tl_ctx.sched == this;
+  Producer& p = *producers_[static_cast<std::size_t>(
+      worker ? tl_ctx.loc : num_localities_)];
+  return p.outbox[(worker ? tl_ctx.round : rounds_) & 1]
+                 [static_cast<std::size_t>(dest)];
+}
+
+TaskId ParallelScheduler::Enqueue(int dest, SimTime t,
+                                  std::function<void()> fn) {
+  if (t < now_) t = now_;
+  if (tl_ctx.sched != this) {
+    const TaskId id = MakeId(dest, 0, producers_.back()->id_seq++);
+    OutboxFor(dest).tasks.push_back(Task{t, 0, id, std::move(fn)});
+    return id;
+  }
+  Producer& self = *producers_[static_cast<std::size_t>(tl_ctx.loc)];
   const TaskId id =
       MakeId(dest, static_cast<unsigned>(tl_ctx.loc) + 1, self.id_seq++);
   if (dest == tl_ctx.loc) {
-    self.queue.push(
-        Locality::Entry{t, self.prio_seq++, id, std::move(fn)});
+    Locality& l = *locs_[static_cast<std::size_t>(dest)];
+    l.queue.push(Task{t, l.prio_seq++, id, std::move(fn)});
   } else {
-    locs_[static_cast<std::size_t>(dest)]
-        ->inbox(tl_ctx.round & 1)
-        .Push(HandoffQueue::Item{t, static_cast<std::uint32_t>(tl_ctx.loc),
-                                 self.merge_seq++, id, std::move(fn)});
+    OutboxFor(dest).tasks.push_back(Task{t, 0, id, std::move(fn)});
     ++self.handoffs;
     *tl_ctx.pushed = true;
   }
-  return id;
-}
-
-TaskId ParallelScheduler::StageEnqueue(int dest, SimTime t,
-                                       std::function<void()> fn) {
-  const TaskId id = MakeId(dest, 0, conductor_ids_++);
-  Locality& loc = *locs_[static_cast<std::size_t>(dest)];
-  std::lock_guard<std::mutex> sl(loc.staging_mu);
-  loc.staged.push_back(
-      HandoffQueue::Item{t, kConductorRank, conductor_seq_++, id,
-                         std::move(fn)});
   return id;
 }
 
@@ -263,11 +251,7 @@ void ParallelScheduler::Cancel(TaskId id) {
     locs_[static_cast<std::size_t>(dest)]->cancelled.insert(id);
     return;
   }
-  Locality& loc = *locs_[static_cast<std::size_t>(dest)];
-  {
-    std::lock_guard<std::mutex> sl(loc.staging_mu);
-    loc.staged_cancels.push_back(id);
-  }
+  OutboxFor(dest).cancels.push_back(id);
   if (tl_ctx.sched == this) *tl_ctx.pushed = true;
 }
 
@@ -299,14 +283,11 @@ bool ParallelScheduler::RunRoundsUntilQuiet(
   }
 }
 
-bool ParallelScheduler::AnyPendingExternal() const {
-  for (const auto& l : locs_) {
-    {
-      std::lock_guard<std::mutex> sl(l->staging_mu);
-      if (!l->staged.empty() || !l->staged_cancels.empty()) return true;
-    }
-    if (!l->inbox0.Empty() || !l->inbox1.Empty()) return true;
-  }
+bool ParallelScheduler::AnyOutboxed() const {
+  for (const auto& p : producers_)
+    for (const auto& boxes : p->outbox)
+      for (const Outbox& box : boxes)
+        if (!box.tasks.empty() || !box.cancels.empty()) return true;
   return false;
 }
 
@@ -316,103 +297,46 @@ SimTime ParallelScheduler::MinNextDue() const {
   return m;
 }
 
-std::uint64_t ParallelScheduler::ExecutedLocked() const {
-  std::uint64_t total = 0;
-  for (const auto& l : locs_) total += l->executed;
-  return total;
+bool ParallelScheduler::Advance(const std::function<bool()>& done,
+                                bool between_rounds, SimTime horizon) {
+  PumpGuard guard(*this);
+  EnsureStarted();
+  for (;;) {
+    if (done && done()) return true;
+    if (!AnyOutboxed()) {
+      const SimTime due = MinNextDue();
+      if (due == kNoDue || due > horizon) {
+        if (horizon != kNoDue && horizon > now_) now_ = horizon;
+        return done && done();
+      }
+      if (due > now_) now_ = due;
+    }
+    if (RunRoundsUntilQuiet(now_, between_rounds ? &done : nullptr))
+      return true;
+  }
 }
 
 bool ParallelScheduler::RunOne() {
-  PumpGuard guard(*this);
-  EnsureStarted();
-  const std::uint64_t before = ExecutedLocked();
-  for (;;) {
-    if (AnyPendingExternal()) {
-      RunRoundsUntilQuiet(now_, nullptr);
-      if (ExecutedLocked() > before) return true;
-      continue;
-    }
-    const SimTime due = MinNextDue();
-    if (due == kNoDue) return ExecutedLocked() > before;
-    if (due > now_) now_ = due;
-    RunRoundsUntilQuiet(now_, nullptr);
-    if (ExecutedLocked() > before) return true;
-    // Cancelled-only timestamp: keep advancing.
-  }
+  // One timestamp's worth: stop once a quiescent timestamp executed
+  // something (a cancelled-only timestamp keeps advancing).
+  const std::uint64_t before = executed();
+  return Advance([&] { return executed() > before; }, false, kNoDue);
 }
 
-void ParallelScheduler::RunUntilIdle() {
-  PumpGuard guard(*this);
-  EnsureStarted();
-  for (;;) {
-    if (AnyPendingExternal()) {
-      RunRoundsUntilQuiet(now_, nullptr);
-      continue;
-    }
-    const SimTime due = MinNextDue();
-    if (due == kNoDue) return;
-    if (due > now_) now_ = due;
-    RunRoundsUntilQuiet(now_, nullptr);
-  }
-}
+void ParallelScheduler::RunUntilIdle() { Advance({}, false, kNoDue); }
 
 void ParallelScheduler::RunUntil(const std::function<bool()>& pred) {
-  PumpGuard guard(*this);
-  EnsureStarted();
-  for (;;) {
-    if (pred()) return;
-    if (AnyPendingExternal()) {
-      if (RunRoundsUntilQuiet(now_, &pred)) return;
-      continue;
-    }
-    const SimTime due = MinNextDue();
-    if (due == kNoDue)
-      throw FargoError("scheduler drained while awaiting a condition "
-                       "(lost message or dead peer?)");
-    if (due > now_) now_ = due;
-    if (RunRoundsUntilQuiet(now_, &pred)) return;
-  }
+  if (!Advance(pred, true, kNoDue))
+    throw FargoError("scheduler drained while awaiting a condition "
+                     "(lost message or dead peer?)");
 }
 
 bool ParallelScheduler::RunUntilOr(const std::function<bool()>& pred,
                                    SimTime deadline) {
-  PumpGuard guard(*this);
-  EnsureStarted();
-  for (;;) {
-    if (pred()) return true;
-    if (AnyPendingExternal()) {
-      if (RunRoundsUntilQuiet(now_, &pred)) return true;
-      continue;
-    }
-    const SimTime due = MinNextDue();
-    if (due == kNoDue || due > deadline) {
-      // No more events before the deadline: advance to it and give up.
-      if (deadline > now_) now_ = deadline;
-      return pred();
-    }
-    if (due > now_) now_ = due;
-    if (RunRoundsUntilQuiet(now_, &pred)) return true;
-  }
+  return Advance(pred, true, deadline);
 }
 
-void ParallelScheduler::RunFor(SimTime d) {
-  PumpGuard guard(*this);
-  EnsureStarted();
-  const SimTime limit = now_ + d;
-  for (;;) {
-    if (AnyPendingExternal()) {
-      RunRoundsUntilQuiet(now_, nullptr);
-      continue;
-    }
-    const SimTime due = MinNextDue();
-    if (due == kNoDue || due > limit) {
-      now_ = limit;
-      return;
-    }
-    if (due > now_) now_ = due;
-    RunRoundsUntilQuiet(now_, nullptr);
-  }
-}
+void ParallelScheduler::RunFor(SimTime d) { Advance({}, false, now_ + d); }
 
 std::size_t ParallelScheduler::PendingCount() const {
   std::size_t total = 0;
@@ -420,48 +344,44 @@ std::size_t ParallelScheduler::PendingCount() const {
     const std::size_t q = l->queue.size();
     const std::size_t c = l->cancelled.size();
     total += q > c ? q - c : 0;
-    {
-      std::lock_guard<std::mutex> sl(l->staging_mu);
-      total += l->staged.size();
-    }
-    total += l->inbox0.ApproxSize() + l->inbox1.ApproxSize();
   }
+  for (const auto& p : producers_)
+    for (const auto& boxes : p->outbox)
+      for (const Outbox& box : boxes) total += box.tasks.size();
   return total;
 }
 
 void ParallelScheduler::Clear() {
   // Workers are parked between pumps; the barrier mutex from their park is
-  // the happens-before edge that makes their queues safe to touch here.
-  // Discarded closures are destroyed on this (conductor) thread, while the
-  // Cores they may reference still exist.
-  std::vector<HandoffQueue::Item> discard;
+  // the happens-before edge that makes their queues and outboxes safe to
+  // touch here. Discarded closures are destroyed on this (conductor)
+  // thread, while the Cores they may reference still exist.
+  for (auto& p : producers_)
+    for (auto& boxes : p->outbox)
+      for (Outbox& box : boxes) {
+        box.tasks.clear();
+        box.cancels.clear();
+      }
   for (auto& l : locs_) {
-    {
-      std::lock_guard<std::mutex> sl(l->staging_mu);
-      l->staged.clear();
-      l->staged_cancels.clear();
-    }
-    l->inbox0.DrainInto(discard);
-    l->inbox1.DrainInto(discard);
     l->queue = {};
     l->cancelled.clear();
     l->next_due = kNoDue;
   }
 }
 
-std::uint64_t ParallelScheduler::executed() const { return ExecutedLocked(); }
+std::uint64_t ParallelScheduler::executed() const {
+  std::uint64_t total = 0;
+  for (const auto& l : locs_) total += l->executed;
+  return total;
+}
 
 ParallelScheduler::Telemetry ParallelScheduler::telemetry() const {
   Telemetry t;
   t.rounds = rounds_;
-  for (const auto& l : locs_) {
-    t.handoffs += l->handoffs;
-    t.overflows += l->inbox0.overflows() + l->inbox1.overflows();
-    t.max_queue_depth = std::max(
-        {t.max_queue_depth,
-         static_cast<std::uint64_t>(l->inbox0.max_depth()),
-         static_cast<std::uint64_t>(l->inbox1.max_depth())});
-  }
+  for (const auto& p : producers_) t.handoffs += p->handoffs;
+  for (const auto& l : locs_)
+    t.max_queue_depth = std::max<std::uint64_t>(t.max_queue_depth,
+                                                l->max_handoffs);
   return t;
 }
 

@@ -14,29 +14,33 @@ class HomeRegistryTest : public FargoTest {
   HomeRegistryTest() { rt.EnableHomeRegistry(true); }
 };
 
+// Asks `from`'s directory endpoint for `id`'s home-shard record.
+core::wire::DirectoryHint Lookup(core::Core& from, ComletId id) {
+  return sim::Await(from.directory().LookupAsync(id));
+}
+
 TEST_F(HomeRegistryTest, HomeTracksArrivals) {
   auto cores = MakeCores(3);
   auto msg = cores[0]->New<Message>("m");
-  EXPECT_EQ(cores[0]->LocateViaHome(msg.target()), cores[0]->id());
+  EXPECT_EQ(Lookup(*cores[0], msg.target()).location, cores[0]->id());
   cores[0]->Move(msg, cores[1]->id());
   rt.RunUntilIdle();  // let the home update land
-  EXPECT_EQ(cores[2]->LocateViaHome(msg.target()), cores[1]->id());
+  EXPECT_EQ(Lookup(*cores[2], msg.target()).location, cores[1]->id());
   cores[1]->MoveId(msg.target(), cores[2]->id());
   rt.RunUntilIdle();
-  EXPECT_EQ(cores[0]->LocateViaHome(msg.target()), cores[2]->id());
+  EXPECT_EQ(Lookup(*cores[0], msg.target()).location, cores[2]->id());
 }
 
 TEST_F(HomeRegistryTest, UnknownCompletHasNoLocation) {
   auto cores = MakeCores(2);
-  EXPECT_FALSE(
-      cores[1]->LocateViaHome(ComletId{cores[0]->id(), 999}).valid());
+  EXPECT_FALSE(Lookup(*cores[1], ComletId{cores[0]->id(), 999}).found);
 }
 
 TEST_F(HomeRegistryTest, DisabledRegistryAnswersNothing) {
   rt.EnableHomeRegistry(false);
   auto cores = MakeCores(2);
   auto msg = cores[0]->New<Message>("m");
-  EXPECT_FALSE(cores[1]->LocateViaHome(msg.target()).valid());
+  EXPECT_FALSE(Lookup(*cores[1], msg.target()).found);
 }
 
 TEST_F(HomeRegistryTest, InvocationSurvivesACrashedChainHop) {
@@ -113,7 +117,7 @@ TEST_F(HomeRegistryTest, OutOfOrderHomeUpdatesResolveByTimestamp) {
   cores[0]->Move(msg, cores[1]->id());  // update travels slowly
   cores[1]->MoveId(msg.target(), cores[2]->id());  // update travels fast
   rt.RunFor(Seconds(2));  // both updates have landed, slow one last
-  EXPECT_EQ(cores[3]->LocateViaHome(msg.target()), cores[2]->id());
+  EXPECT_EQ(Lookup(*cores[3], msg.target()).location, cores[2]->id());
 }
 
 TEST_F(HomeRegistryTest, MoveCommandsAlsoRecoverViaRetry) {

@@ -3,6 +3,8 @@
 // verified message by message.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "src/core/wire.h"
 #include "src/net/formation.h"
 #include "src/serial/frame.h"
@@ -127,7 +129,9 @@ TEST_F(ProtocolTest, HomeRegistryAddsOneAsyncUpdatePerRemoteArrival) {
 
 TEST_F(ProtocolTest, EventNotificationIsOneMessagePerRemoteListener) {
   auto cores = MakeCores(3);
-  int fired = 0;
+  // Under FARGO_PARALLEL the two listeners run on different localities in
+  // the same round, so the shared counter must be atomic.
+  std::atomic<int> fired{0};
   cores[1]->ListenAt(cores[0]->id(), monitor::EventKind::kComletArrived,
                      [&](const monitor::Event&) { ++fired; });
   cores[2]->ListenAt(cores[0]->id(), monitor::EventKind::kComletArrived,
@@ -136,7 +140,7 @@ TEST_F(ProtocolTest, EventNotificationIsOneMessagePerRemoteListener) {
   cores[0]->New<Message>("m");
   rt.RunUntilIdle();
   EXPECT_EQ(CountKind(MessageKind::kEventNotify), 2u);
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(fired.load(), 2);
 }
 
 TEST(WireTest, CompositeCodecsRoundTrip) {
