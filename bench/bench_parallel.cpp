@@ -83,9 +83,13 @@ double InvokeRunMs(int localities, bool print_telemetry = false) {
                          ->RefTo<Data>(owned[static_cast<std::size_t>(i)]
                                            .handle()));
   rt.RunUntilIdle();  // settle tracker setup outside the timed region
+  rt.SyncSerialStats();
+  const monitor::Registry& reg = rt.metrics();
+  const std::uint64_t setup_rounds = reg.CounterValue("locality.rounds");
 
+  constexpr int kInvokes = kAffinities * kInvokesPerCore;
   std::vector<sim::Future<Value>> futures;
-  futures.reserve(static_cast<std::size_t>(kAffinities * kInvokesPerCore));
+  futures.reserve(static_cast<std::size_t>(kInvokes));
   // fargolint: allow(wallclock) host-clock Info() metric, never gated
   const auto t0 = std::chrono::steady_clock::now();
   for (int round = 0; round < kInvokesPerCore; ++round)
@@ -99,14 +103,14 @@ double InvokeRunMs(int localities, bool print_telemetry = false) {
     if (!f.ok()) std::abort();  // a failed invoke = bogus numbers
   if (print_telemetry && localities > 0) {
     rt.SyncSerialStats();
-    const monitor::Registry& reg = rt.metrics();
+    const std::uint64_t rounds = reg.CounterValue("locality.rounds");
     std::printf("telemetry (N=%d): handoffs=%llu rounds=%llu "
-                "max_queue_depth=%llu\n",
+                "rounds_per_invoke=%.3g max_queue_depth=%llu\n",
                 localities,
                 static_cast<unsigned long long>(
                     reg.CounterValue("locality.handoffs")),
-                static_cast<unsigned long long>(
-                    reg.CounterValue("locality.rounds")),
+                static_cast<unsigned long long>(rounds),
+                static_cast<double>(rounds - setup_rounds) / kInvokes,
                 static_cast<unsigned long long>(
                     static_cast<std::uint64_t>(
                         reg.GaugeValue("locality.queue_depth"))));

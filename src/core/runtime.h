@@ -24,8 +24,9 @@ namespace fargo::core {
 /// Deployment knobs. `localities` selects the execution engine:
 ///   -1 — honor the FARGO_PARALLEL environment variable (default);
 ///    0 — deterministic single-threaded sim (SimScheduler);
-///    N — N locality worker threads (ParallelScheduler), Cores assigned
-///        by `core.id % N` (DESIGN.md §localities).
+///    N — N localities (ParallelScheduler): the conductor plus N−1
+///        worker threads, Cores assigned by `core.id % N` (DESIGN.md
+///        §localities).
 struct RuntimeOptions {
   int localities = -1;
 };

@@ -19,7 +19,7 @@ constexpr SimTime kNoDue = std::numeric_limits<SimTime>::max();
 
 // TaskId layout: [8b destination locality | 8b producer tag | 48b counter].
 // The destination routes Cancel; the producer tag + per-producer counter
-// make ids unique without shared state (tag 0 = conductor, i+1 = worker i).
+// make ids unique without shared state (tag 0 = conductor, i+1 = locality i).
 TaskId MakeId(int dest, unsigned producer_tag, std::uint64_t n) {
   return (static_cast<TaskId>(dest) << 56) |
          (static_cast<TaskId>(producer_tag & 0xFFu) << 48) |
@@ -40,14 +40,37 @@ struct Later {
   }
 };
 
-/// Routing context while a worker executes a round; null sched otherwise.
+/// Routing context while a thread executes a locality's round step; null
+/// sched otherwise.
 struct WorkerCtx {
   ParallelScheduler* sched = nullptr;
   int loc = -1;
   std::uint64_t round = 0;
-  bool* pushed = nullptr;
 };
 thread_local WorkerCtx tl_ctx;
+
+/// Makes the calling thread locality `loc`'s executor for one round step —
+/// the routing context and the worker mark PumpGuard checks — and restores
+/// the thread's own values on exit.
+// fargo: domain(sim)
+class StepContext {
+ public:
+  StepContext(ParallelScheduler* sched, int loc, std::uint64_t round)
+      : prev_ctx_(tl_ctx), prev_loc_(detail::tl_worker_locality) {
+    tl_ctx = WorkerCtx{sched, loc, round};
+    detail::tl_worker_locality = loc;
+  }
+  ~StepContext() {
+    tl_ctx = prev_ctx_;
+    detail::tl_worker_locality = prev_loc_;
+  }
+  StepContext(const StepContext&) = delete;
+  StepContext& operator=(const StepContext&) = delete;
+
+ private:
+  WorkerCtx prev_ctx_;
+  int prev_loc_;
+};
 
 }  // namespace
 
@@ -55,20 +78,24 @@ struct ParallelScheduler::Barrier {
   std::mutex mu;
   std::condition_variable cv_go;
   std::condition_variable cv_done;
-  std::uint64_t go_round = 0;  ///< bumped by the conductor to release a round
-  SimTime limit = 0;           ///< the round's execution horizon
-  int arrived = 0;             ///< workers parked since the last release
+  int arrived = 0;  ///< workers parked since the last release
   bool stop = false;
 };
 
 /// What one producer hands one locality in one round, in append order.
 struct ParallelScheduler::Outbox {
+  void Add(Task t) {
+    min_at = std::min(min_at, t.at);
+    tasks.push_back(std::move(t));
+  }
+
   std::vector<Task> tasks;
   std::vector<TaskId> cancels;
+  SimTime min_at = kNoDue;  ///< earliest `at` in tasks
 };
 
-/// A thread that schedules work: worker i during its rounds, or the
-/// conductor while every worker is parked.
+/// A thread that schedules work: locality i during its round steps, or the
+/// conductor between rounds.
 struct ParallelScheduler::Producer {
   explicit Producer(int localities)
       : outbox{std::vector<Outbox>(static_cast<std::size_t>(localities)),
@@ -79,24 +106,24 @@ struct ParallelScheduler::Producer {
   /// drained by the destination at the start of round r + 1.
   std::vector<Outbox> outbox[2];
   std::uint64_t id_seq = 1;    ///< TaskId counter
-  std::uint64_t handoffs = 0;  ///< cross-locality tasks sent (workers only)
+  std::uint64_t handoffs = 0;  ///< cross-locality tasks sent (localities only)
 };
 
 struct ParallelScheduler::Locality {
-  // Worker-confined; the conductor touches these only while every worker
-  // is parked (the barrier mutex is the happens-before edge).
+  // Confined to the locality's thread during its step; the conductor
+  // touches these only while every worker is parked (the barrier mutex is
+  // the happens-before edge).
   std::priority_queue<Task, std::vector<Task>, Later> queue;
   std::unordered_set<TaskId> cancelled;
   std::uint64_t prio_seq = 0;    ///< queue insertion order
-  std::size_t max_handoffs = 0;  ///< most worker handoffs taken in one round
+  std::size_t max_handoffs = 0;  ///< most handoffs taken in one round
 
-  // Round results, published at park under the barrier mutex.
+  // Round results, read by the conductor once the step's thread parks.
   SimTime next_due = kNoDue;
   std::uint64_t executed = 0;
-  bool did_work = false;
   std::exception_ptr error;
 
-  std::thread thread;
+  std::thread thread;  ///< none for locality 0 (the conductor runs it)
 };
 
 ParallelScheduler::ParallelScheduler(int localities)
@@ -123,83 +150,81 @@ ParallelScheduler::~ParallelScheduler() {
 void ParallelScheduler::EnsureStarted() {
   if (started_) return;
   started_ = true;
-  for (int i = 0; i < num_localities_; ++i)
+  for (int i = 1; i < num_localities_; ++i)
     locs_[static_cast<std::size_t>(i)]->thread =
         std::thread([this, i] { WorkerLoop(i); });
 }
 
 void ParallelScheduler::WorkerLoop(int idx) {
-  detail::tl_worker_locality = idx;
-  Locality& self = *locs_[static_cast<std::size_t>(idx)];
   Barrier& b = *barrier_;
   std::uint64_t seen = 0;
   std::unique_lock<std::mutex> lk(b.mu);
   for (;;) {
-    b.cv_go.wait(lk, [&] { return b.stop || b.go_round != seen; });
+    b.cv_go.wait(lk, [&] { return b.stop || rounds_ != seen; });
     if (b.stop) return;
-    seen = b.go_round;
-    const SimTime limit = b.limit;
+    seen = rounds_;
     lk.unlock();
-
-    std::uint64_t exec = 0;
-    bool pushed = false;
-    std::exception_ptr err;
-    tl_ctx = WorkerCtx{this, idx, seen, &pushed};
-
-    // Take last round's outboxes for this locality by producer rank (the
-    // conductor last), each in append order. The queue runs same-time
-    // tasks in insertion order, so execution follows the (at, rank,
-    // append) key — a pure function of the workload, not of thread timing.
-    std::size_t handoffs = 0;
-    for (std::size_t p = 0; p < producers_.size(); ++p) {
-      Outbox& box =
-          producers_[p]->outbox[(seen - 1) & 1][static_cast<std::size_t>(idx)];
-      if (p < locs_.size()) handoffs += box.tasks.size();
-      for (Task& t : box.tasks) {
-        t.prio = self.prio_seq++;
-        self.queue.push(std::move(t));
-      }
-      box.tasks.clear();
-      self.cancelled.insert(box.cancels.begin(), box.cancels.end());
-      box.cancels.clear();
-    }
-    self.max_handoffs = std::max(self.max_handoffs, handoffs);
-
-    // Execute everything due at the horizon. Locally-scheduled same-time
-    // work runs within this round (matching the sim's run-to-completion at
-    // a timestamp); handoffs land in outboxes for the next round.
-    try {
-      while (!self.queue.empty() && self.queue.top().at <= limit) {
-        Task e = std::move(const_cast<Task&>(self.queue.top()));
-        self.queue.pop();
-        if (auto it = self.cancelled.find(e.id);
-            it != self.cancelled.end()) {
-          self.cancelled.erase(it);
-          continue;
-        }
-        ++exec;
-        e.fn();
-      }
-    } catch (...) {
-      err = std::current_exception();
-    }
-    // Prune cancelled heads so next_due names a live event (a cancelled
-    // timestamp must not drag the global clock forward).
-    while (!self.queue.empty()) {
-      auto it = self.cancelled.find(self.queue.top().id);
-      if (it == self.cancelled.end()) break;
-      self.cancelled.erase(it);
-      self.queue.pop();
-    }
-    tl_ctx = WorkerCtx{};
-
+    Step(idx, seen);
     lk.lock();
-    self.executed += exec;
-    self.did_work = exec > 0 || pushed;
-    self.next_due = self.queue.empty() ? kNoDue : self.queue.top().at;
-    if (err && !self.error) self.error = err;
-    if (++b.arrived == num_localities_) b.cv_done.notify_all();
+    if (++b.arrived == num_localities_ - 1) b.cv_done.notify_all();
   }
+}
+
+void ParallelScheduler::Step(int idx, std::uint64_t round) {
+  StepContext ctx(this, idx, round);
+  // On the conductor, drop the pump caller's AffinityScope: locality 0's
+  // tasks route by their own locality, exactly as on a worker.
+  AffinityScope unscoped;
+  Locality& self = *locs_[static_cast<std::size_t>(idx)];
+
+  // Take last round's outboxes for this locality by producer rank (the
+  // conductor last), each in append order. The queue runs same-time
+  // tasks in insertion order, so execution follows the (at, rank,
+  // append) key — a pure function of the workload, not of thread timing.
+  std::size_t handoffs = 0;
+  for (std::size_t p = 0; p < producers_.size(); ++p) {
+    Outbox& box =
+        producers_[p]->outbox[(round - 1) & 1][static_cast<std::size_t>(idx)];
+    if (p < locs_.size()) handoffs += box.tasks.size();
+    for (Task& t : box.tasks) {
+      t.prio = self.prio_seq++;
+      self.queue.push(std::move(t));
+    }
+    box.tasks.clear();
+    box.min_at = kNoDue;
+    self.cancelled.insert(box.cancels.begin(), box.cancels.end());
+    box.cancels.clear();
+  }
+  self.max_handoffs = std::max(self.max_handoffs, handoffs);
+
+  // Execute everything due now. Locally-scheduled same-time work runs
+  // within this round (matching the sim's run-to-completion at a
+  // timestamp); handoffs land in outboxes for the next round.
+  std::uint64_t exec = 0;
+  try {
+    while (!self.queue.empty() && self.queue.top().at <= now_) {
+      Task e = std::move(const_cast<Task&>(self.queue.top()));
+      self.queue.pop();
+      if (auto it = self.cancelled.find(e.id); it != self.cancelled.end()) {
+        self.cancelled.erase(it);
+        continue;
+      }
+      ++exec;
+      e.fn();
+    }
+  } catch (...) {
+    if (!self.error) self.error = std::current_exception();
+  }
+  // Prune cancelled heads so next_due names a live event (a cancelled
+  // timestamp must not drag the global clock forward).
+  while (!self.queue.empty()) {
+    auto it = self.cancelled.find(self.queue.top().id);
+    if (it == self.cancelled.end()) break;
+    self.cancelled.erase(it);
+    self.queue.pop();
+  }
+  self.executed += exec;
+  self.next_due = self.queue.empty() ? kNoDue : self.queue.top().at;
 }
 
 TaskId ParallelScheduler::ScheduleAt(SimTime t, std::function<void()> fn) {
@@ -215,10 +240,10 @@ TaskId ParallelScheduler::Post(std::uint64_t affinity, SimTime t,
 }
 
 ParallelScheduler::Outbox& ParallelScheduler::OutboxFor(int dest) {
-  const bool worker = tl_ctx.sched == this;
+  const bool in_step = tl_ctx.sched == this;
   Producer& p = *producers_[static_cast<std::size_t>(
-      worker ? tl_ctx.loc : num_localities_)];
-  return p.outbox[(worker ? tl_ctx.round : rounds_) & 1]
+      in_step ? tl_ctx.loc : num_localities_)];
+  return p.outbox[(in_step ? tl_ctx.round : rounds_) & 1]
                  [static_cast<std::size_t>(dest)];
 }
 
@@ -227,7 +252,7 @@ TaskId ParallelScheduler::Enqueue(int dest, SimTime t,
   if (t < now_) t = now_;
   if (tl_ctx.sched != this) {
     const TaskId id = MakeId(dest, 0, producers_.back()->id_seq++);
-    OutboxFor(dest).tasks.push_back(Task{t, 0, id, std::move(fn)});
+    OutboxFor(dest).Add(Task{t, 0, id, std::move(fn)});
     return id;
   }
   Producer& self = *producers_[static_cast<std::size_t>(tl_ctx.loc)];
@@ -237,9 +262,8 @@ TaskId ParallelScheduler::Enqueue(int dest, SimTime t,
     Locality& l = *locs_[static_cast<std::size_t>(dest)];
     l.queue.push(Task{t, l.prio_seq++, id, std::move(fn)});
   } else {
-    OutboxFor(dest).tasks.push_back(Task{t, 0, id, std::move(fn)});
+    OutboxFor(dest).Add(Task{t, 0, id, std::move(fn)});
     ++self.handoffs;
-    *tl_ctx.pushed = true;
   }
   return id;
 }
@@ -252,49 +276,41 @@ void ParallelScheduler::Cancel(TaskId id) {
     return;
   }
   OutboxFor(dest).cancels.push_back(id);
-  if (tl_ctx.sched == this) *tl_ctx.pushed = true;
 }
 
-bool ParallelScheduler::RunRoundsUntilQuiet(
-    SimTime limit, const std::function<bool()>* pred) {
+void ParallelScheduler::RunRound() {
   Barrier& b = *barrier_;
-  for (;;) {
-    bool any = false;
-    std::exception_ptr err;
-    {
-      std::unique_lock<std::mutex> lk(b.mu);
-      b.arrived = 0;
-      b.limit = limit;
-      ++b.go_round;
-      b.cv_go.notify_all();
-      b.cv_done.wait(lk, [&] { return b.arrived == num_localities_; });
-      for (auto& l : locs_) {
-        any = any || l->did_work;
-        if (l->error && !err) {
-          err = l->error;
-          l->error = nullptr;
-        }
-      }
-    }
+  {
+    std::lock_guard<std::mutex> lk(b.mu);
+    b.arrived = 0;
     ++rounds_;
-    if (err) std::rethrow_exception(err);
-    if (pred && (*pred)()) return true;
-    if (!any) return false;
   }
+  b.cv_go.notify_all();
+  Step(0, rounds_);
+  {
+    std::unique_lock<std::mutex> lk(b.mu);
+    b.cv_done.wait(lk, [&] { return b.arrived == num_localities_ - 1; });
+  }
+  std::exception_ptr err;
+  for (auto& l : locs_)
+    if (l->error && !err) {
+      err = l->error;
+      l->error = nullptr;
+    }
+  if (err) std::rethrow_exception(err);
 }
 
-bool ParallelScheduler::AnyOutboxed() const {
+SimTime ParallelScheduler::NextDue() const {
+  SimTime due = kNoDue;
+  for (const auto& l : locs_) due = std::min(due, l->next_due);
+  // Between rounds only the last round's parity holds anything: every
+  // locality drained the other one at the start of that round.
   for (const auto& p : producers_)
-    for (const auto& boxes : p->outbox)
-      for (const Outbox& box : boxes)
-        if (!box.tasks.empty() || !box.cancels.empty()) return true;
-  return false;
-}
-
-SimTime ParallelScheduler::MinNextDue() const {
-  SimTime m = kNoDue;
-  for (const auto& l : locs_) m = std::min(m, l->next_due);
-  return m;
+    for (const Outbox& box : p->outbox[rounds_ & 1]) {
+      if (!box.cancels.empty()) return now_;
+      due = std::min(due, box.min_at);
+    }
+  return due;
 }
 
 bool ParallelScheduler::Advance(const std::function<bool()>& done,
@@ -302,17 +318,14 @@ bool ParallelScheduler::Advance(const std::function<bool()>& done,
   PumpGuard guard(*this);
   EnsureStarted();
   for (;;) {
-    if (done && done()) return true;
-    if (!AnyOutboxed()) {
-      const SimTime due = MinNextDue();
-      if (due == kNoDue || due > horizon) {
-        if (horizon != kNoDue && horizon > now_) now_ = horizon;
-        return done && done();
-      }
-      if (due > now_) now_ = due;
+    const SimTime due = NextDue();
+    if ((between_rounds || due > now_) && done && done()) return true;
+    if (due == kNoDue || due > horizon) {
+      if (horizon != kNoDue && horizon > now_) now_ = horizon;
+      return done && done();
     }
-    if (RunRoundsUntilQuiet(now_, between_rounds ? &done : nullptr))
-      return true;
+    now_ = std::max(now_, due);
+    RunRound();
   }
 }
 
@@ -361,6 +374,7 @@ void ParallelScheduler::Clear() {
       for (Outbox& box : boxes) {
         box.tasks.clear();
         box.cancels.clear();
+        box.min_at = kNoDue;
       }
   for (auto& l : locs_) {
     l->queue = {};

@@ -9,8 +9,9 @@
 //  - `SimScheduler` (this file): the single-threaded deterministic pump.
 //    Default for tests, benches and CI — one priority queue, FIFO seq
 //    tiebreak, bit-identical runs.
-//  - `ParallelScheduler` (parallel_sched.h): N locality worker threads in
-//    conservative time-stepped rounds, selected by `FARGO_PARALLEL=N`.
+//  - `ParallelScheduler` (parallel_sched.h): N localities — the conductor
+//    plus N−1 worker threads — in conservative time-stepped rounds,
+//    selected by `FARGO_PARALLEL=N`.
 //    Same virtual-time semantics, same observable results (DESIGN.md
 //    §localities), run-to-run deterministic for a fixed N.
 //
@@ -20,7 +21,7 @@
 // the top-level synchronous API wrappers pump (RunUntil and friends), and
 // the scheduler keeps pump-depth accounting so tests can assert the
 // invocation path stays at depth ≤ 1. Pumps are a conductor-thread
-// privilege: a locality worker entering a pump throws.
+// privilege: a task of a parallel locality entering a pump throws.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +39,9 @@ namespace fargo::sim {
 using TaskId = std::uint64_t;
 
 namespace detail {
-/// -1 on the conductor/main thread; the owning locality index on a
-/// ParallelScheduler worker thread. Workers must never pump.
+/// -1 on the conductor/main thread; the locality index while a thread runs
+/// a ParallelScheduler locality's round step (a worker, or the conductor
+/// for locality 0). Tasks of a locality must never pump.
 extern thread_local int tl_worker_locality;
 /// Per-thread NoPumpScope nesting count. The no-pump invariant is a
 /// property of the *calling thread*'s stack, so the counter is
@@ -121,8 +123,9 @@ class Scheduler {
   /// Total number of events executed (telemetry for benchmarks).
   virtual std::uint64_t executed() const = 0;
 
-  /// Number of locality worker threads. 0 = deterministic single-threaded
-  /// sim (the conductor thread executes events itself).
+  /// Number of parallel localities (the conductor plus localities() − 1
+  /// worker threads). 0 = deterministic single-threaded sim (the conductor
+  /// thread executes events itself).
   virtual int localities() const { return 0; }
 
   // -- pump-depth accounting ---------------------------------------------------
@@ -186,6 +189,14 @@ class Scheduler {
     }
 
    private:
+    friend class ParallelScheduler;
+    /// Clears the ambient affinity for the scope's lifetime: the conductor
+    /// runs locality 0's round step inside pumps that may hold a Core's
+    /// scope.
+    AffinityScope() : prev_key_(ambient_key_), prev_set_(ambient_set_) {
+      ambient_set_ = false;
+    }
+
     static thread_local std::uint64_t ambient_key_;
     static thread_local bool ambient_set_;
     std::uint64_t prev_key_;
@@ -194,7 +205,7 @@ class Scheduler {
 
  protected:
   /// RAII around every pump loop: bumps depth, notifies the observer, and
-  /// rejects entry from inside a NoPumpScope or from a locality worker.
+  /// rejects entry from inside a NoPumpScope or from a locality's task.
   // fargo: domain(sim)
   class PumpGuard {
    public:

@@ -4,8 +4,9 @@
 // the start of the next micro-round (src/sim/parallel_sched.h, ownership
 // rule). These tests drive that path through the public scheduler API:
 // nothing handed off is lost, duplicated or reordered, closures still in an
-// outbox are destroyed without running, and the handoff telemetry counts
-// exactly the worker-to-worker traffic.
+// outbox are destroyed without running, the handoff telemetry counts
+// exactly the locality-to-locality traffic, and rounds are spent only on
+// timestamps that have work due.
 #include "src/sim/parallel_sched.h"
 
 #include <gtest/gtest.h>
@@ -66,7 +67,7 @@ TEST(HandoffTest, PingPongAcrossManyRoundsReusesTheOutboxes) {
   // One task bounces between localities 0 and 1 for 200 hops at the same
   // virtual time: each hop is a handoff taken in the next round, so the
   // outboxes of both round parities are written and drained over and over.
-  // Every hop must run exactly once and in order.
+  // Every hop must run exactly once and in order, one round per hop.
   constexpr int kHops = 200;
   ParallelScheduler sched(2);
   std::vector<int> trail;  // written by one hop at a time, read after pumps
@@ -84,6 +85,74 @@ TEST(HandoffTest, PingPongAcrossManyRoundsReusesTheOutboxes) {
   EXPECT_EQ(sched.Now(), 5);
   EXPECT_EQ(sched.telemetry().handoffs, static_cast<std::uint64_t>(kHops - 1));
   EXPECT_EQ(sched.telemetry().max_queue_depth, 1u);
+  EXPECT_EQ(sched.telemetry().rounds, static_cast<std::uint64_t>(kHops));
+}
+
+// Round counts: a round repeats at a timestamp only while a handoff or a
+// cancel is due at it, so a hop dated later rides into the round that runs
+// it and a timestamp that hands nothing off takes exactly one round. (The
+// same-time ping-pong above takes one round per hop.)
+
+TEST(HandoffTest, FutureDatedPingPongTakesOneRoundPerHop) {
+  constexpr int kHops = 40;
+  ParallelScheduler sched(2);
+  std::vector<SimTime> at;  // written by one hop at a time
+  std::function<void(int)> hop = [&](int n) {
+    at.push_back(sched.Now());
+    if (n + 1 < kHops)
+      sched.Post(static_cast<std::uint64_t>((n + 1) % 2),
+                 sched.Now() + Micros(1), [&hop, n] { hop(n + 1); });
+  };
+  sched.Post(0, 5, [&hop] { hop(0); });
+  sched.RunUntilIdle();
+  ASSERT_EQ(at.size(), static_cast<std::size_t>(kHops));
+  for (int i = 0; i < kHops; ++i)
+    EXPECT_EQ(at[static_cast<std::size_t>(i)], 5 + Micros(i));
+  EXPECT_EQ(sched.telemetry().rounds, static_cast<std::uint64_t>(kHops));
+  EXPECT_EQ(sched.telemetry().handoffs, static_cast<std::uint64_t>(kHops - 1));
+}
+
+TEST(HandoffTest, TimestampWithoutHandoffsTakesOneRound) {
+  // Every locality runs tasks at 10 and 20, each scheduling a same-time
+  // follow-up on its own locality: two timestamps, two rounds.
+  constexpr int kLoc = 4;
+  ParallelScheduler sched(kLoc);
+  std::atomic<int> ran{0};
+  for (SimTime t : {SimTime{10}, SimTime{20}})
+    for (std::uint64_t aff = 0; aff < 2 * kLoc; ++aff)
+      sched.Post(aff, t, [&] {
+        ran.fetch_add(1);
+        sched.ScheduleAt(sched.Now(), [&] { ran.fetch_add(1); });
+      });
+  sched.RunUntilIdle();
+  EXPECT_EQ(ran.load(), 2 * 2 * 2 * kLoc);
+  EXPECT_EQ(sched.Now(), 20);
+  EXPECT_EQ(sched.telemetry().rounds, 2u);
+  EXPECT_EQ(sched.telemetry().handoffs, 0u);
+}
+
+TEST(HandoffTest, CancelledFutureHandoffDoesNotDragTheClock) {
+  // Locality 0 hands a task dated 100 to locality 1, then cancels it from
+  // its own task at 50. Like the sim engine, the pump ends at the last
+  // live task, not at the cancelled one's time.
+  auto run = [](Scheduler& s) {
+    auto ran = std::make_shared<std::atomic<int>>(0);
+    s.Post(0, 1, [&s, ran] {
+      const TaskId victim = s.Post(1, 100, [ran] { ran->fetch_add(100); });
+      s.Post(0, 50, [&s, ran, victim] {
+        ran->fetch_add(1);
+        s.Cancel(victim);
+      });
+    });
+    s.RunUntilIdle();
+    return std::make_pair(s.Now(), ran->load());
+  };
+  SimScheduler sim;
+  ParallelScheduler par(2);
+  const auto want = run(sim);
+  EXPECT_EQ(want, (std::pair<SimTime, int>{50, 1}));
+  EXPECT_EQ(run(par), want);
+  EXPECT_EQ(par.PendingCount(), 0u);
 }
 
 TEST(HandoffTest, ManySameRoundHandoffsArriveInMergeKeyOrder) {

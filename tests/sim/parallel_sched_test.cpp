@@ -12,6 +12,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -129,20 +130,24 @@ TEST(ParallelSchedulerTest, PostRoutesToTheOwningLocality) {
   EXPECT_GT(sched.telemetry().rounds, 0u);
 }
 
-TEST(ParallelSchedulerTest, WorkersMayNotPump) {
-  // Pumping is a conductor privilege: a locality worker calling RunUntil &
-  // friends must throw instead of deadlocking the round barrier.
-  ParallelScheduler sched(2);
-  std::atomic<bool> threw{false};
-  sched.ScheduleAt(1, [&] {
-    try {
-      sched.RunUntilIdle();
-    } catch (const FargoError&) {
-      threw.store(true, std::memory_order_relaxed);
-    }
-  });
-  sched.RunUntilIdle();
-  EXPECT_TRUE(threw.load());
+TEST(ParallelSchedulerTest, TasksMayNotPump) {
+  // Pumping is a conductor privilege: a task calling RunUntil & friends
+  // must throw instead of deadlocking the round barrier — on a worker
+  // (locality 1) and on the conductor's own locality-0 step alike.
+  for (std::uint64_t aff : {0u, 1u}) {
+    ParallelScheduler sched(2);
+    std::atomic<bool> threw{false};
+    sched.Post(aff, 1, [&] {
+      try {
+        sched.RunUntil([] { return true; });
+      } catch (const FargoError&) {
+        threw.store(true, std::memory_order_relaxed);
+      }
+    });
+    sched.RunUntilIdle();
+    EXPECT_TRUE(threw.load()) << "locality " << aff;
+    EXPECT_EQ(sched.PumpDepth(), 0);
+  }
 }
 
 TEST(ParallelSchedulerTest, NoPumpScopeRejectsConductorPumps) {
@@ -216,21 +221,23 @@ TEST(ParallelSchedulerTest, RunForAdvancesTheClockPastAnEmptyQueue) {
   EXPECT_EQ(sched.Now(), 150);
 }
 
-TEST(ParallelSchedulerTest, ExceptionsFromWorkersSurfaceAtThePump) {
-  // A task that throws must not kill the worker thread or hang the
-  // barrier; the error belongs to the conductor's pump call.
-  ParallelScheduler sched(2);
-  std::atomic<int> after{0};
-  sched.ScheduleAt(1, [] { throw FargoError("task exploded"); });
-  sched.ScheduleAt(2, [&] { after.fetch_add(1); });
-  try {
+TEST(ParallelSchedulerTest, ExceptionsFromTasksSurfaceAtThePump) {
+  // A task that throws — on a worker, or on the conductor's locality 0 —
+  // must not kill its thread or hang the barrier: the rest of the round
+  // runs, the pump rethrows the error, and the engine keeps executing.
+  for (std::uint64_t thrower : {0u, 1u}) {
+    ParallelScheduler sched(3);
+    std::atomic<int> others{0};
+    sched.Post(thrower, 1, [] { throw FargoError("task exploded"); });
+    for (std::uint64_t aff = 0; aff < 3; ++aff)
+      if (aff != thrower) sched.Post(aff, 1, [&] { others.fetch_add(1); });
+    sched.Post(thrower, 2, [&] { others.fetch_add(10); });
+    EXPECT_THROW(sched.RunUntilIdle(), FargoError) << "locality " << thrower;
+    EXPECT_EQ(others.load(), 2);
+    EXPECT_EQ(detail::tl_worker_locality, -1);
     sched.RunUntilIdle();
-  } catch (const FargoError&) {
-    // Acceptable: the engine may surface the task's error.
+    EXPECT_EQ(others.load(), 12);
   }
-  // Either way the engine survives and keeps executing.
-  sched.RunUntilIdle();
-  EXPECT_EQ(after.load(), 1);
 }
 
 TEST(ParallelSchedulerTest, AffinityScopeRoutesConductorWork) {
@@ -253,6 +260,55 @@ TEST(ParallelSchedulerTest, AffinityScopeRoutesConductorWork) {
   sched.RunUntilIdle();
   ASSERT_EQ(order.size(), 16u);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+// Locality 0 runs on the conductor, inside its pump. Its tasks must see
+// the same thread-local context a worker's do (see also TasksMayNotPump
+// and ExceptionsFromTasksSurfaceAtThePump).
+
+TEST(ParallelSchedulerTest, LocalityZeroRunsOnTheConductor) {
+  const std::thread::id conductor = std::this_thread::get_id();
+  for (int n : {1, 3}) {
+    ParallelScheduler sched(n);
+    std::atomic<bool> zero_here{false};
+    std::atomic<bool> other_elsewhere{n == 1};
+    sched.Post(0, 1, [&] {
+      zero_here.store(std::this_thread::get_id() == conductor &&
+                      detail::tl_worker_locality == 0);
+    });
+    if (n > 1)
+      sched.Post(1, 1, [&] {
+        other_elsewhere.store(std::this_thread::get_id() != conductor &&
+                              detail::tl_worker_locality == 1);
+      });
+    sched.RunUntilIdle();
+    EXPECT_TRUE(zero_here.load()) << "N=" << n;
+    EXPECT_TRUE(other_elsewhere.load()) << "N=" << n;
+    EXPECT_EQ(detail::tl_worker_locality, -1);
+  }
+}
+
+TEST(ParallelSchedulerTest, LocalityZeroIgnoresThePumpCallersAffinityScope) {
+  // A Core entry point pumps inside its own AffinityScope. A locality-0
+  // task that schedules without a scope must keep its follow-up on
+  // locality 0, not route it to the pump caller's Core.
+  ParallelScheduler sched(4);
+  std::atomic<int> follow_up_on{-2};
+  sched.Post(0, 10, [&] {
+    sched.ScheduleAt(sched.Now() + 1, [&] {
+      follow_up_on.store(detail::tl_worker_locality);
+    });
+  });
+  {
+    Scheduler::AffinityScope aff(2);
+    sched.RunUntilIdle();
+    // The conductor's own scope is back once the pump returns.
+    std::uint64_t key = 0;
+    ASSERT_TRUE(Scheduler::AffinityScope::Current(key));
+    EXPECT_EQ(key, 2u);
+  }
+  EXPECT_EQ(follow_up_on.load(), 0);
+  EXPECT_EQ(sched.telemetry().handoffs, 0u);
 }
 
 }  // namespace
