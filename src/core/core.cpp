@@ -318,11 +318,21 @@ Value Core::DispatchLocal(ComletId target, std::string_view method,
                      name_);
   if (method == kPingMethod) return Value();
   if (method == kMoveMethod) {
+    // Only a local oneway Post lands here (two-way callers reply from the
+    // move's settle continuation): start the move without pumping, and
+    // report a failure the way a oneway reports any other.
     CoreId dest{static_cast<std::uint32_t>(args.at(0).AsInt())};
-    std::string continuation = args.at(1).AsString();
-    std::vector<Value> cont_args = args.at(2).AsList();
-    movement_->MoveLocal(target, dest, std::move(continuation),
-                         std::move(cont_args));
+    movement_
+        ->MoveLocalAsync(target, dest, args.at(1).AsString(),
+                         args.at(2).AsList())
+        .OnSettle([](sim::Future<sim::Unit> f) {
+          try {
+            f.Take();
+          } catch (const std::exception& e) {
+            LogWarn() << "one-way invocation of " << kMoveMethod
+                      << " failed: " << e.what();
+          }
+        });
     return Value();
   }
   if (method == kMethodsMethod) {
@@ -369,107 +379,6 @@ std::uint64_t Core::NextCorrelation() {
   const std::uint64_t corr = ++next_correlation_;
   if (wal_) wal_->NoteSequences(next_comlet_seq_, next_correlation_);
   return corr;
-}
-
-sim::Future<std::vector<std::uint8_t>> Core::SendAsync(
-    CoreId to, net::MessageKind kind, std::vector<std::uint8_t> payload) {
-  sim::Scheduler::AffinityScope aff(id_.value);
-  auto rpc = std::make_shared<PendingRpc>(scheduler());
-  rpc->to = to;
-  rpc->kind = kind;
-  rpc->payload = std::move(payload);
-  rpc->corr = NextCorrelation();
-  // Lease a session slot for the request's lifetime: every attempt reuses
-  // the key, and the executor's replay window deduplicates by it.
-  rpc->skey = sessions_.Acquire(id_, to);
-  rpc->max_attempts = std::max(1, retry_policy_.max_attempts);
-  pending_replies_[rpc->corr] = rpc;
-  if (wal_ && !wal_->SequencesDurable()) {
-    // Identity gate (docs/PROTOCOL.md §Durability): the correlation just
-    // minted (and any identities the payload carries) must sit below a
-    // durable kWalMeta promise before a peer may observe them — otherwise
-    // a crash can re-issue them and alias the peer's dedup cache. Hold the
-    // first attempt until the covering barrier settles.
-    const std::uint64_t epoch = restart_epoch_;
-    wal_->WhenSequencesDurable().OnSettle(
-        // fargolint: allow(capture-this) Runtime clears pending events before destroying Cores
-        [this, rpc, epoch](sim::Future<sim::Unit>) {
-          if (!alive_ || restart_epoch_ != epoch) {
-            rpc->promise.RejectWith(UnreachableError(
-                "core restarted before its identity barrier"));
-            return;
-          }
-          if (!rpc->promise.settled()) SendRpcAttempt(rpc);
-        });
-    return rpc->promise.future();
-  }
-  SendRpcAttempt(rpc);
-  return rpc->promise.future();
-}
-
-// Every attempt reuses the correlation and session key, so the receiver's
-// replay window recognizes retries of this request and a late reply to any
-// attempt resolves the future. A timeout is retry-safe by the transport
-// contract: either the request never executed, or its reply will be
-// replayed from the receiver's slot cache when the retry lands.
-void Core::SendRpcAttempt(const std::shared_ptr<PendingRpc>& rpc) {
-  // The RPC machinery runs as scheduled continuations; it must never pump.
-  sim::Scheduler::NoPumpScope no_pump(scheduler());
-  ++rpc->attempt;
-  if (rpc->attempt > 1) {
-    ++rpc_retries_;
-    inst_.retries->Inc();
-    tracer_.RecordInstant(monitor::SpanKind::kRetry, net::ToString(rpc->kind),
-                          tracer_.Current(), scheduler().Now(),
-                          static_cast<std::uint32_t>(rpc->attempt - 1));
-  }
-  net::Message msg;
-  msg.from = id_;
-  msg.to = rpc->to;
-  msg.kind = rpc->kind;
-  msg.correlation = rpc->corr;
-  msg.session = rpc->skey;
-  // Retention copy: every attempt but the last keeps the payload for a
-  // possible resend; the final attempt surrenders it to the wire.
-  if (rpc->attempt == rpc->max_attempts) {
-    msg.payload = std::move(rpc->payload);
-  } else {
-    inst_.bytes_copied->Inc(rpc->payload.size());
-    msg.payload = rpc->payload;
-  }
-  if (rpc->kind == net::MessageKind::kRecoveryQuery) {
-    // Recovery traffic must not sit behind a formation deadline: the Core
-    // is blocked mid-recovery until the in-doubt move resolves.
-    network().Send(std::move(msg));
-  } else if (rpc->kind == net::MessageKind::kDirectoryLookup) {
-    // Directory traffic rides the priority lane: a lookup unblocking a
-    // forwarded invocation must not share a frame with bulk traffic.
-    formation_->Enqueue(std::move(msg), net::Formation::Lane::kPriority);
-  } else {
-    formation_->Enqueue(std::move(msg), net::Formation::Lane::kImmediate);
-  }
-  rpc->timer = scheduler().ScheduleAfter(
-      // fargolint: allow(capture-this) Runtime clears pending events before destroying Cores
-      rpc_timeout_, [this, rpc] { OnRpcTimeout(rpc); });
-}
-
-void Core::OnRpcTimeout(const std::shared_ptr<PendingRpc>& rpc) {
-  if (rpc->promise.settled()) return;
-  if (rpc->attempt >= rpc->max_attempts) {
-    pending_replies_.erase(rpc->corr);
-    sessions_.Release(rpc->skey);
-    rpc->promise.RejectWith(
-        UnreachableError(std::string(net::ToString(rpc->kind)) + " to " +
-                         ToString(rpc->to) + " timed out"));
-    return;
-  }
-  // Back off while still listening: the original reply may yet arrive and
-  // settle the future, in which case the resend below is a no-op.
-  rpc->timer = scheduler().ScheduleAfter(
-      // fargolint: allow(capture-this) Runtime clears pending events before destroying Cores
-      retry_policy_.BackoffAfter(rpc->attempt, rpc->corr), [this, rpc] {
-        if (!rpc->promise.settled()) SendRpcAttempt(rpc);
-      });
 }
 
 std::vector<std::uint8_t> Core::SendAndAwait(
@@ -655,9 +564,6 @@ void Core::DispatchMessage(net::Message msg) {
     case net::MessageKind::kInvokeRequest:
       invocation_->HandleRequest(std::move(msg));
       return;
-    case net::MessageKind::kInvokeReply:
-      invocation_->HandleReply(std::move(msg));
-      return;
     case net::MessageKind::kTrackerUpdate:
       invocation_->HandleTrackerUpdate(std::move(msg));
       return;
@@ -667,29 +573,15 @@ void Core::DispatchMessage(net::Message msg) {
       if (!AdmitOnce(msg)) return;
       movement_->HandleMoveRequest(std::move(msg));
       return;
+    case net::MessageKind::kInvokeReply:
     case net::MessageKind::kMoveReply:
     case net::MessageKind::kNameReply:
     case net::MessageKind::kNewReply:
     case net::MessageKind::kRecoveryReply:
     case net::MessageKind::kDirectoryReply:
-    case net::MessageKind::kControlReply: {
-      auto it = pending_replies_.find(msg.correlation);
-      if (it == pending_replies_.end()) {
-        // Reply to an RPC that already settled (timed out, or answered by
-        // an earlier duplicate): count and drop.
-        inst_.late_replies->Inc();
-        LogDebug() << "core " << name_ << " dropped late "
-                   << net::ToString(msg.kind) << " corr " << msg.correlation;
-        return;
-      }
-      std::shared_ptr<PendingRpc> rpc = it->second;
-      pending_replies_.erase(it);
-      scheduler().Cancel(rpc->timer);
-      // The request settled: its slot can carry the next RPC to this peer.
-      sessions_.Release(rpc->skey);
-      rpc->promise.Resolve(std::move(msg.payload));
+    case net::MessageKind::kControlReply:
+      HandleReply(std::move(msg));
       return;
-    }
     case net::MessageKind::kNameRequest:
       HandleNameRequest(msg);
       return;

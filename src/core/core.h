@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -245,7 +247,9 @@ class Core {
   /// retried per the RetryPolicy from scheduled continuations — the calling
   /// stack never pumps. The future rejects with UnreachableError after the
   /// last attempt times out. Naming, remote-new, event registration,
-  /// control round-trips, and movement all ride on this.
+  /// control round-trips, and movement all ride on this; it and
+  /// InvocationUnit::InvokeAsync are the two front doors of one request
+  /// engine (src/core/request.cpp).
   sim::Future<std::vector<std::uint8_t>> SendAsync(
       CoreId to, net::MessageKind kind, std::vector<std::uint8_t> payload);
 
@@ -323,7 +327,7 @@ class Core {
 
   // -- at-most-once RPC (retry + slot-window replay) --------------------------
 
-  /// Retry schedule used by SendAndAwait and the invocation unit for
+  /// Retry schedule the request engine applies to every request kind for
   /// retry-safe failures (timeouts, transport-flagged errors). Retries
   /// reuse the original correlation and session key so executors can
   /// deduplicate.
@@ -382,22 +386,37 @@ class Core {
   friend class MovementUnit;
   friend class Wal;
 
-  /// One outstanding SendAsync round-trip: a stable heap record (shared by
-  /// the map, the retry/timeout timers, and the reply path), so waiter
-  /// bookkeeping survives map rehashes and late replies can be told apart
-  /// from live ones.
+  /// One outstanding request of any kind — a SendAsync round-trip or a
+  /// remote invocation: a stable heap record shared by the correlation
+  /// table, the timeout/backoff timers and the reply path, so bookkeeping
+  /// survives table rehashes and late replies can be told apart from live
+  /// ones. The engine (request.cpp) owns the fields; each kind supplies the
+  /// hooks. `epoch` fences a record that outlives a crash: a non-durable
+  /// Core re-mints correlations from 1, so only the epoch tells its stale
+  /// records from the new incarnation's.
   struct PendingRpc {
-    explicit PendingRpc(sim::Scheduler& s) : promise(s) {}
-    sim::Promise<std::vector<std::uint8_t>> promise;
-    CoreId to;
-    net::MessageKind kind{};
-    std::vector<std::uint8_t> payload;  ///< kept for resends
+    virtual ~PendingRpc() = default;
+    virtual bool settled() const = 0;
+    /// "<request> to <target>", for the errors the engine raises.
+    virtual std::string Describe() const = 0;
+    /// Puts attempt number `attempt` on the wire (route, lane, retry span).
+    virtual void Transmit(Core& core) = 0;
+    /// A reply carrying `corr` arrived: settle via SettleRequest, or return
+    /// the error of a retry-safe failure (the request never executed) for
+    /// the engine to retry.
+    virtual std::exception_ptr OnReply(Core& core, net::Message msg) = 0;
+    /// Rejects the future; the engine has already done its bookkeeping.
+    virtual void Fail(Core& core, std::exception_ptr error,
+                      monitor::SpanOutcome outcome) = 0;
+
     std::uint64_t corr = 0;
-    net::SessionKey skey;   ///< slot lease; released when the RPC settles
+    net::SessionKey skey;     ///< slot lease; released when the request settles
+    std::uint64_t epoch = 0;  ///< restart epoch the request started in
     int attempt = 0;
     int max_attempts = 1;
-    sim::TaskId timer = 0;  ///< pending timeout or backoff task
+    sim::TaskId timer = 0;    ///< pending timeout or backoff task
   };
+  struct ByteRpc;  ///< SendAsync's kind (request.cpp)
 
   /// Hot-path metric instruments, resolved once from the Runtime registry
   /// at construction so recording never takes the registry lock.
@@ -436,8 +455,41 @@ class Core {
   /// Appends a post-dispatch state image of `target` to the WAL (no-op for
   /// non-durable Cores, or when the method moved the complet away).
   void LogComletState(ComletId target);
-  void SendRpcAttempt(const std::shared_ptr<PendingRpc>& rpc);
-  void OnRpcTimeout(const std::shared_ptr<PendingRpc>& rpc);
+
+  // -- the request engine (request.cpp) ---------------------------------------
+  /// Mints the correlation, leases a slot toward `peer`, enters the table
+  /// and sends the first attempt once the identity gate opens.
+  void StartRequest(const std::shared_ptr<PendingRpc>& rpc, CoreId peer);
+  void SendAttempt(const std::shared_ptr<PendingRpc>& rpc);
+  void OnRequestTimeout(const std::shared_ptr<PendingRpc>& rpc);
+  /// An attempt failed retry-safely: resend after the backoff while
+  /// attempts remain, else retire the request and fail it with `error`.
+  void RetryOrFail(const std::shared_ptr<PendingRpc>& rpc,
+                   std::exception_ptr error, monitor::SpanOutcome outcome);
+  /// A reply settles the request: cancels its timer, leaves the table and
+  /// frees the slot.
+  void SettleRequest(PendingRpc& rpc);
+  /// A record from before the last crash: fails its own future, touches
+  /// nothing else, and returns true.
+  bool FailIfStale(PendingRpc& rpc);
+  /// Every reply kind: matches the table by correlation, or counts a late
+  /// reply.
+  void HandleReply(net::Message msg);
+  /// The one outbound identity gate (docs/PROTOCOL.md §Durability): calls
+  /// `send(true)` at once when every identity minted so far sits below a
+  /// durable ceiling; otherwise holds it until the covering barrier
+  /// settles, and calls `send(false)` if the Core died meanwhile.
+  template <class Send>
+  void AfterIdentityGate(Send send) {
+    if (IdentitiesDurable()) {
+      send(true);
+    } else {
+      HoldForIdentities(std::move(send));
+    }
+  }
+  bool IdentitiesDurable() const;
+  void HoldForIdentities(std::function<void(bool)> send);
+
   void HandleNameRequest(const net::Message& msg);
   void HandleNewRequest(const net::Message& msg);
   void HandleControl(net::Message msg);
@@ -485,6 +537,7 @@ class Core {
   std::unique_ptr<Wal> wal_;  ///< null until EnableWal
   std::uint64_t restart_epoch_ = 0;
 
+  /// Every outstanding request, keyed by correlation; Restart clears it.
   std::unordered_map<std::uint64_t, std::shared_ptr<PendingRpc>> pending_replies_;
   std::unordered_map<ComletId, std::vector<net::Message>> parked_;
 

@@ -1,6 +1,7 @@
 #include "src/core/invocation.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/common/log.h"
@@ -13,18 +14,28 @@
 
 namespace fargo::core {
 
+namespace {
+// Where a request for `entry`'s complet goes next: the forward hint, or this
+// Core itself when the complet is hosted here or has no usable hint.
+CoreId NextHop(const TrackerEntry* entry, CoreId self) {
+  return entry != nullptr && !entry->is_local() && entry->next.valid() &&
+                 entry->next != self
+             ? entry->next
+             : self;
+}
+}  // namespace
+
 // ==== origin side: the async invocation state machine ========================
 //
-// One remote invocation = one AsyncCall record driven by continuations:
+// One invocation = one AsyncCall record driven by continuations:
 //
 //   StartCall ──local──▶ DispatchLocalCall ──▶ settle
 //       │
 //       ├─no route──▶ AwaitRoute ──tracker change──▶ ResumeAfterRoute ─┐
 //       │                  └─deadline──▶ settle(unreachable)           │
 //       │                                                             ▼
-//       └─remote──▶ BeginRemote ──▶ SendAttempt ──reply──▶ HandleReply ─▶ settle
-//                        ▲              └─timeout─▶ OnAttemptTimeout
-//                        └──────backoff resend──────────┘
+//       └─remote──▶ BeginRemote ──▶ Core request engine ──reply──▶ HandleReply ─▶ settle
+//                                    (attempts, timeout, backoff: request.cpp)
 //
 // The machinery never pumps the scheduler (NoPumpScope enforces it); only
 // the synchronous Invoke wrapper below pumps, at top level.
@@ -102,7 +113,6 @@ sim::Future<InvokeResult> InvocationUnit::StartCall(
   call->req.args = std::move(args);
   call->req.origin = core_.id();
   call->begin = sched.Now();
-  call->max_attempts = std::max(1, core_.retry_policy().max_attempts);
   // The trace root: a fresh trace at top level, a child span when this
   // invocation runs inside another traced execution (ambient context).
   call->root = tracer.OpenSpan(monitor::SpanKind::kRoot, method,
@@ -148,22 +158,22 @@ void InvocationUnit::DispatchLocalCall(const std::shared_ptr<AsyncCall>& call) {
           [this, call, res, epoch](sim::Future<sim::Unit>) mutable {
             if (!core_.alive() || core_.restart_epoch() != epoch) {
               FinalizeError(
-                  call,
+                  *call,
                   std::make_exception_ptr(UnreachableError(
                       "core crashed before the invocation was durable")),
                   monitor::SpanOutcome::kTransportError);
               return;
             }
-            FinalizeOk(call, std::move(*res));
+            FinalizeOk(*call, std::move(*res));
           });
       return;
     }
-    FinalizeOk(call, InvokeResult{std::move(v), core_.id(), 0});
+    FinalizeOk(*call, InvokeResult{std::move(v), core_.id(), 0});
   } catch (const UnreachableError&) {
-    FinalizeError(call, std::current_exception(),
+    FinalizeError(*call, std::current_exception(),
                   monitor::SpanOutcome::kTransportError);
   } catch (const std::exception&) {
-    FinalizeError(call, std::current_exception(),
+    FinalizeError(*call, std::current_exception(),
                   monitor::SpanOutcome::kAppError);
   }
 }
@@ -182,7 +192,7 @@ void InvocationUnit::AwaitRoute(const std::shared_ptr<AsyncCall>& call,
       if (waits.empty()) route_waiters_.erase(it);
     }
     if (wait->call->promise.settled()) return;
-    FinalizeError(wait->call,
+    FinalizeError(*wait->call,
                   std::make_exception_ptr(UnreachableError(
                       "invocation target " + ToString(id) +
                       " unreachable from " + ToString(core_.id()))),
@@ -240,83 +250,44 @@ void InvocationUnit::ResumeAfterRoute(const std::shared_ptr<AsyncCall>& call,
 // instead of re-executing.
 
 void InvocationUnit::BeginRemote(const std::shared_ptr<AsyncCall>& call) {
-  call->corr = core_.NextCorrelation();
   // Lease the session slot against the first resolved hop. The key is an
   // identity, not a route: later attempts may travel to a different Core
   // (the target moved), and every executor indexes its replay window by the
   // (origin, peer) pair baked into the key, wherever the request lands.
-  TrackerEntry* entry = core_.trackers().Find(call->req.handle.id);
-  const CoreId peer = (entry != nullptr && !entry->is_local() &&
-                       entry->next.valid() && entry->next != core_.id())
-                          ? entry->next
-                          : core_.id();
-  call->skey = core_.sessions().Acquire(core_.id(), peer);
-  waiters_[call->corr] = call;
-  Wal* wal = core_.wal();
-  if (wal != nullptr && !wal->SequencesDurable()) {
-    // Identity gate (docs/PROTOCOL.md §Durability): the correlation and
-    // session epoch just stamped must sit below a durable kWalMeta promise
-    // before a peer can observe them — a crash now would let recovery
-    // re-issue the same identity, and the executor's replay window would
-    // answer the new call with a stale reply. Hold the first attempt until
-    // the covering barrier settles.
-    const std::uint64_t epoch = core_.restart_epoch();
-    wal->WhenSequencesDurable().OnSettle(
-        // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
-        [this, call, epoch](sim::Future<sim::Unit>) {
-          if (!core_.alive() || core_.restart_epoch() != epoch) {
-            if (!call->promise.settled())
-              FinalizeError(call,
-                            std::make_exception_ptr(UnreachableError(
-                                "core restarted before its identity barrier")),
-                            monitor::SpanOutcome::kTransportError);
-            return;
-          }
-          if (!call->promise.settled()) SendAttempt(call);
-        });
-    return;
-  }
-  SendAttempt(call);
+  core_.StartRequest(
+      call, NextHop(core_.trackers().Find(call->req.handle.id), core_.id()));
 }
 
-void InvocationUnit::SendAttempt(const std::shared_ptr<AsyncCall>& call) {
-  sim::Scheduler::NoPumpScope no_pump(core_.scheduler());
-  sim::Scheduler& sched = core_.scheduler();
+void InvocationUnit::SendAttempt(AsyncCall& call) {
   monitor::Tracer& tracer = core_.tracer();
-  ++call->attempt;
   // The first attempt travels as the root span; each resend travels as a
   // fresh child span tagged with its retry ordinal.
-  wire::TraceContext attempt_ctx = call->root.ctx;
-  if (call->attempt > 1) {
-    ++core_.rpc_retries_;
-    core_.inst_.retries->Inc();
+  wire::TraceContext attempt_ctx = call.root.ctx;
+  if (call.attempt > 1) {
     attempt_ctx =
         tracer
-            .RecordInstant(monitor::SpanKind::kRetry, call->req.method,
-                           call->root.ctx, sched.Now(),
-                           static_cast<std::uint32_t>(call->attempt - 1))
+            .RecordInstant(monitor::SpanKind::kRetry, call.req.method,
+                           call.root.ctx, core_.scheduler().Now(),
+                           static_cast<std::uint32_t>(call.attempt - 1))
             .ctx;
   }
   // Re-resolve the route each attempt: the target may have moved — possibly
   // to this very Core, in which case the send loops back through our own
   // slot-checked handler rather than re-dispatching locally (an earlier
   // attempt may already have executed elsewhere).
-  TrackerEntry* entry = core_.trackers().Find(call->req.handle.id);
-  if (entry == nullptr) entry = &core_.trackers().Ensure(call->req.handle);
-  const CoreId next = (!entry->is_local() && entry->next.valid() &&
-                       entry->next != core_.id())
-                          ? entry->next
-                          : core_.id();
+  TrackerEntry* entry = core_.trackers().Find(call.req.handle.id);
+  if (entry == nullptr) entry = &core_.trackers().Ensure(call.req.handle);
+  const CoreId next = NextHop(entry, core_.id());
   // The request record was built by StartCall; per attempt only the trace
   // context and the routing hint change. Route by our tracker's knowledge,
   // not the stub's stale hint, so the next hop parks rather than bouncing
   // the request back at us.
-  call->req.trace = attempt_ctx;
-  call->req.handle.last_known = next;
+  call.req.trace = attempt_ctx;
+  call.req.handle.last_known = next;
   // Stamp the request with the epoch of the knowledge routing it, so a hop
   // whose own hint is no fresher consults the home shard instead of walking
   // the chain.
-  call->req.hint_epoch = entry->hint_epoch;
+  call.req.hint_epoch = entry->hint_epoch;
 
   if (next == core_.id()) {
     // Same-Core loopback (the target moved toward us mid-retry): the
@@ -328,12 +299,12 @@ void InvocationUnit::SendAttempt(const std::shared_ptr<AsyncCall>& call) {
     carrier.from = core_.id();
     carrier.to = core_.id();
     carrier.kind = net::MessageKind::kInvokeRequest;
-    carrier.correlation = call->corr;
-    carrier.session = call->skey;
-    sched.ScheduleAfter(
+    carrier.correlation = call.corr;
+    carrier.session = call.skey;
+    core_.scheduler().ScheduleAfter(
         0,
         // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
-        [this, rq = call->req, carrier = std::move(carrier)]() mutable {
+        [this, rq = call.req, carrier = std::move(carrier)]() mutable {
           if (!core_.alive()) return;
           try {
             ProcessRequest(std::move(rq), std::move(carrier));
@@ -342,76 +313,39 @@ void InvocationUnit::SendAttempt(const std::shared_ptr<AsyncCall>& call) {
                       << " dropped a loopback request: " << e.what();
           }
         });
-  } else {
-    ++entry->forwarded;
-    net::Message msg;
-    msg.from = core_.id();
-    msg.to = next;
-    msg.kind = net::MessageKind::kInvokeRequest;
-    msg.correlation = call->corr;
-    msg.session = call->skey;
-    msg.payload = wire::EncodeInvokeRequest(call->req);
-    core_.formation().Enqueue(std::move(msg),
-                              net::Formation::Lane::kImmediate);
-  }
-
-  call->timer = sched.ScheduleAfter(core_.rpc_timeout(),
-                                    // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
-                                    [this, call] { OnAttemptTimeout(call); });
-}
-
-void InvocationUnit::OnAttemptTimeout(const std::shared_ptr<AsyncCall>& call) {
-  if (call->promise.settled()) return;
-  if (call->attempt < call->max_attempts) {
-    ArmBackoffResend(call);
     return;
   }
-  waiters_.erase(call->corr);
-  FinalizeError(call,
-                std::make_exception_ptr(UnreachableError(
-                    "invocation of " + call->req.method + " on " +
-                    ToString(call->req.handle.id) + " timed out")),
-                monitor::SpanOutcome::kTimeout);
-}
-
-void InvocationUnit::ArmBackoffResend(const std::shared_ptr<AsyncCall>& call) {
-  // Keep listening through the backoff window: the waiter stays registered,
-  // so a late reply to the previous attempt is just as good as a reply to
-  // the next one and settles the call before the resend fires.
-  call->timer = core_.scheduler().ScheduleAfter(
-      core_.retry_policy().BackoffAfter(call->attempt, call->corr),
-      // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
-      [this, call] {
-        if (!call->promise.settled()) SendAttempt(call);
-      });
+  ++entry->forwarded;
+  net::Message msg;
+  msg.from = core_.id();
+  msg.to = next;
+  msg.kind = net::MessageKind::kInvokeRequest;
+  msg.correlation = call.corr;
+  msg.session = call.skey;
+  msg.payload = wire::EncodeInvokeRequest(call.req);
+  core_.formation().Enqueue(std::move(msg), net::Formation::Lane::kImmediate);
 }
 
 // Settling a call drops its arguments: every attempt has encoded or
 // dispatched them already, and the cancelled attempt timer — which holds
 // `call` until it is due — must not keep them alive for an RPC timeout.
-void InvocationUnit::FinalizeOk(const std::shared_ptr<AsyncCall>& call,
-                                InvokeResult res) {
-  // The call settled; its slot can carry the next request (Release no-ops
-  // for the local fast path, whose calls never lease one).
-  core_.sessions().Release(call->skey);
-  call->req.args = std::vector<Value>();
+void InvocationUnit::FinalizeOk(AsyncCall& call, InvokeResult res) {
+  call.req.args = std::vector<Value>();
   const SimTime now = core_.scheduler().Now();
-  core_.tracer().CloseSpan(call->root.token, now, monitor::SpanOutcome::kOk,
+  core_.tracer().CloseSpan(call.root.token, now, monitor::SpanOutcome::kOk,
                            res.hops);
   core_.inst_.invocations->Inc();
-  core_.inst_.invoke_latency->Observe(static_cast<double>(now - call->begin));
+  core_.inst_.invoke_latency->Observe(static_cast<double>(now - call.begin));
   core_.inst_.invoke_hops->Observe(static_cast<double>(res.hops));
-  call->promise.Resolve(std::move(res));
+  call.promise.Resolve(std::move(res));
 }
 
-void InvocationUnit::FinalizeError(const std::shared_ptr<AsyncCall>& call,
-                                   std::exception_ptr error,
+void InvocationUnit::FinalizeError(AsyncCall& call, std::exception_ptr error,
                                    monitor::SpanOutcome outcome) {
-  core_.sessions().Release(call->skey);
-  call->req.args = std::vector<Value>();
+  call.req.args = std::vector<Value>();
   core_.inst_.invoke_errors->Inc();
-  core_.tracer().CloseSpan(call->root.token, core_.scheduler().Now(), outcome);
-  call->promise.Reject(std::move(error));
+  core_.tracer().CloseSpan(call.root.token, core_.scheduler().Now(), outcome);
+  call.promise.Reject(std::move(error));
 }
 
 // ==== oneway =================================================================
@@ -463,22 +397,13 @@ void InvocationUnit::Post(const ComletHandle& handle, std::string_view method,
       core_.rpc_timeout(),
       // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
       [this, skey = msg.session] { core_.sessions().Release(skey); });
-  Wal* wal = core_.wal();
-  if (wal != nullptr && !wal->SequencesDurable()) {
-    // Identity gate, oneway flavor: the slot identity must sit below a
-    // durable ceiling before the executor sees it. Dropping the send on
-    // restart is within the oneway best-effort contract.
-    const std::uint64_t epoch = core_.restart_epoch();
-    wal->WhenSequencesDurable().OnSettle(
-        // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
-        [this, epoch, msg = std::move(msg)](sim::Future<sim::Unit>) mutable {
-          if (!core_.alive() || core_.restart_epoch() != epoch) return;
-          core_.formation().Enqueue(std::move(msg),
-                                    net::Formation::Lane::kImmediate);
-        });
-    return;
-  }
-  core_.formation().Enqueue(std::move(msg), net::Formation::Lane::kImmediate);
+  // The slot identity passes the identity gate like any request's; dropping
+  // the send on restart is within the oneway best-effort contract.
+  core_.AfterIdentityGate([this, msg = std::move(msg)](bool current) mutable {
+    if (current)
+      core_.formation().Enqueue(std::move(msg),
+                                net::Formation::Lane::kImmediate);
+  });
 }
 
 // ==== executor side ==========================================================
@@ -626,36 +551,47 @@ void InvocationUnit::ExecuteAndReply(const wire::InvokeRequest& rq,
                                      std::uint64_t correlation,
                                      const net::SessionKey& skey) {
   monitor::Tracer& tracer = core_.tracer();
-  const SimTime begin = core_.scheduler().Now();
   const int hops = static_cast<int>(rq.path.size()) + 1;
   monitor::Tracer::Opened exec =
-      tracer.OpenSpan(monitor::SpanKind::kExec, rq.method, rq.trace, begin,
-                      rq.trace.retry);
+      tracer.OpenSpan(monitor::SpanKind::kExec, rq.method, rq.trace,
+                      core_.scheduler().Now(), rq.trace.retry);
   core_.inst_.execs->Inc();
-  // A routed __fargo.move must not dispatch into the synchronous MoveLocal:
-  // that pumps the scheduler from inside the executor handler, and handlers
-  // are non-blocking state machines (a worker pump would deadlock the
-  // FARGO_PARALLEL round barrier). The move runs async; its reply — and the
-  // at-most-once bookkeeping — ride the settle continuation.
+  // A routed __fargo.move must not wait for the move inside the executor
+  // handler: handlers are non-blocking state machines (a worker pump would
+  // deadlock the FARGO_PARALLEL round barrier). The move runs async; its
+  // reply — and the at-most-once bookkeeping — ride the settle continuation.
   if (rq.method == kMoveMethod) {
     ExecuteMoveAndReply(rq, correlation, skey, exec, hops);
     return;
   }
+  Value result;
+  std::optional<std::string> error;
+  try {
+    monitor::TraceScope scope(tracer, exec.ctx);
+    result = core_.DispatchLocal(rq.handle.id, rq.method, rq.args);
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  FinishExec(rq, correlation, skey, exec, hops, std::move(result), error);
+}
+
+void InvocationUnit::FinishExec(const wire::InvokeRequest& rq,
+                                std::uint64_t correlation,
+                                const net::SessionKey& skey,
+                                const monitor::Tracer::Opened& exec, int hops,
+                                Value result,
+                                const std::optional<std::string>& error) {
+  core_.tracer().CloseSpan(exec.token, core_.scheduler().Now(),
+                           error ? monitor::SpanOutcome::kAppError
+                                 : monitor::SpanOutcome::kOk,
+                           hops);
   if (rq.oneway) {
-    // Reply-less flow: execute, mark the slot complete (with an empty
-    // cached reply — duplicates are dropped, not re-answered) and still
-    // shorten the chain; errors die here with a log line.
-    try {
-      monitor::TraceScope scope(tracer, exec.ctx);
-      core_.DispatchLocal(rq.handle.id, rq.method, rq.args);
-      tracer.CloseSpan(exec.token, core_.scheduler().Now(),
-                       monitor::SpanOutcome::kOk, hops);
-    } catch (const std::exception& e) {
-      tracer.CloseSpan(exec.token, core_.scheduler().Now(),
-                       monitor::SpanOutcome::kAppError, hops);
-      LogWarn() << "one-way invocation of " << rq.method << " failed: "
-                << e.what();
-    }
+    // Reply-less flow: mark the slot complete (with an empty cached reply —
+    // duplicates are dropped, not re-answered) and still shorten the chain;
+    // errors die here with a log line.
+    if (error)
+      LogWarn() << "one-way invocation of " << rq.method
+                << " failed: " << *error;
     core_.replay().Complete(skey, net::MessageKind::kInvokeReply, {});
     // No reply carries this slot state into the log (Core::Reply logs the
     // two-way ones), so record it here: a recovered executor must keep
@@ -670,12 +606,11 @@ void InvocationUnit::ExecuteAndReply(const wire::InvokeRequest& rq,
     return;
   }
   serial::Writer w;
-  try {
-    Value result;
-    {
-      monitor::TraceScope scope(tracer, exec.ctx);
-      result = core_.DispatchLocal(rq.handle.id, rq.method, rq.args);
-    }
+  if (error) {
+    w.WriteBool(false);  // not ok
+    w.WriteBool(false);  // application error: the method DID run/throw
+    w.WriteString(*error);
+  } else {
     wire::WriteOk(w);
     serial::WriteValue(w, result);
     wire::WriteCoreId(w, core_.id());
@@ -684,33 +619,17 @@ void InvocationUnit::ExecuteAndReply(const wire::InvokeRequest& rq,
     // from our tracker *after* dispatch — if the method itself moved the
     // target away, the entry is no longer local and the hint rides
     // unstamped (epoch 0), so it cannot outrank the movement's publish.
-    {
-      const TrackerEntry* te = core_.trackers().Find(rq.handle.id);
-      w.WriteVarint(te != nullptr && te->is_local() ? te->hint_epoch : 0);
-    }
-    wire::WriteTraceTail(w, exec.ctx);
-    tracer.CloseSpan(exec.token, core_.scheduler().Now(),
-                     monitor::SpanOutcome::kOk, hops);
-  } catch (const std::exception& e) {
-    tracer.CloseSpan(exec.token, core_.scheduler().Now(),
-                     monitor::SpanOutcome::kAppError, hops);
-    serial::Writer err;
-    err.WriteBool(false);  // not ok
-    err.WriteBool(false);  // application error: the method DID run/throw
-    err.WriteString(e.what());
-    wire::WriteTraceTail(err, exec.ctx);
-    // The method ran (and threw) — the error is the cached outcome, so the
-    // reply carries the session key and completes the slot like a success.
-    core_.Reply(rq.origin, net::MessageKind::kInvokeReply, correlation,
-                err.Take(), skey);
-    return;
+    const TrackerEntry* te = core_.trackers().Find(rq.handle.id);
+    w.WriteVarint(te != nullptr && te->is_local() ? te->hint_epoch : 0);
   }
-  // Reply straight to the origin...
+  wire::WriteTraceTail(w, exec.ctx);
+  // Reply straight to the origin. A thrown method ran too, so its error is
+  // the cached outcome: either reply carries the session key and completes
+  // the slot...
   core_.Reply(rq.origin, net::MessageKind::kInvokeReply, correlation,
               w.Take(), skey);
-
-  // ...and shorten the whole chain (§3.1).
-  SendShorteningUpdates(rq, exec.ctx);
+  // ...and a success shortens the whole chain (§3.1).
+  if (!error) SendShorteningUpdates(rq, exec.ctx);
 }
 
 sim::Future<sim::Unit> InvocationUnit::StartLocalMove(
@@ -746,16 +665,16 @@ void InvocationUnit::DispatchLocalMove(const std::shared_ptr<AsyncCall>& call) {
       // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
       [this, call](sim::Future<sim::Unit> f) {
         if (f.ok()) {
-          FinalizeOk(call, InvokeResult{Value(), core_.id(), 0});
+          FinalizeOk(*call, InvokeResult{Value(), core_.id(), 0});
           return;
         }
         try {
           f.Take();
         } catch (const UnreachableError&) {
-          FinalizeError(call, std::current_exception(),
+          FinalizeError(*call, std::current_exception(),
                         monitor::SpanOutcome::kTransportError);
         } catch (...) {
-          FinalizeError(call, std::current_exception(),
+          FinalizeError(*call, std::current_exception(),
                         monitor::SpanOutcome::kAppError);
         }
       });
@@ -773,8 +692,7 @@ void InvocationUnit::ExecuteMoveAndReply(const wire::InvokeRequest& rq,
       [this, rq, correlation, skey, exec, hops,
        epoch_guard](sim::Future<sim::Unit> f) {
         if (!core_.alive() || core_.restart_epoch() != epoch_guard) return;
-        monitor::Tracer& tracer = core_.tracer();
-        std::string error;
+        std::optional<std::string> error;
         if (!f.ok()) {
           try {
             f.Take();
@@ -784,55 +702,9 @@ void InvocationUnit::ExecuteMoveAndReply(const wire::InvokeRequest& rq,
             error = "move failed";
           }
         }
-        if (rq.oneway) {
-          // Reply-less flow, same contract as the generic oneway branch:
-          // complete the slot, log the exec record, ack, shorten; a failed
-          // move dies here with a log line.
-          tracer.CloseSpan(exec.token, core_.scheduler().Now(),
-                           f.ok() ? monitor::SpanOutcome::kOk
-                                  : monitor::SpanOutcome::kAppError,
-                           hops);
-          if (!f.ok())
-            LogWarn() << "one-way invocation of " << rq.method
-                      << " failed: " << error;
-          core_.replay().Complete(skey, net::MessageKind::kInvokeReply, {});
-          if (Wal* wal = core_.wal(); wal != nullptr && !wal->replaying())
-            wal->AppendExec(skey, net::MessageKind::kInvokeReply, {});
-          core_.AckSlotDurable(skey);
-          SendShorteningUpdates(rq, exec.ctx);
-          return;
-        }
-        if (!f.ok()) {
-          tracer.CloseSpan(exec.token, core_.scheduler().Now(),
-                           monitor::SpanOutcome::kAppError, hops);
-          serial::Writer err;
-          err.WriteBool(false);  // not ok
-          err.WriteBool(false);  // application error: the move DID run
-          err.WriteString(error);
-          wire::WriteTraceTail(err, exec.ctx);
-          core_.Reply(rq.origin, net::MessageKind::kInvokeReply, correlation,
-                      err.Take(), skey);
-          return;
-        }
-        serial::Writer w;
-        wire::WriteOk(w);
-        serial::WriteValue(w, Value());
-        wire::WriteCoreId(w, core_.id());
-        w.WriteVarint(rq.path.size() + 1);
-        // The move just sent the target away: the tracker entry is no longer
-        // local, so the hint rides unstamped (epoch 0) and cannot outrank
-        // the movement's own directory publish — same rule as the generic
-        // path's post-dispatch stamp.
-        {
-          const TrackerEntry* te = core_.trackers().Find(rq.handle.id);
-          w.WriteVarint(te != nullptr && te->is_local() ? te->hint_epoch : 0);
-        }
-        wire::WriteTraceTail(w, exec.ctx);
-        tracer.CloseSpan(exec.token, core_.scheduler().Now(),
-                         monitor::SpanOutcome::kOk, hops);
-        core_.Reply(rq.origin, net::MessageKind::kInvokeReply, correlation,
-                    w.Take(), skey);
-        SendShorteningUpdates(rq, exec.ctx);
+        // The move just sent the target away: the tracker entry is no
+        // longer local, so a success reply's hint rides unstamped.
+        FinishExec(rq, correlation, skey, exec, hops, Value(), error);
       });
 }
 
@@ -865,40 +737,32 @@ void InvocationUnit::SendShorteningUpdates(const wire::InvokeRequest& rq,
 
 // ==== replies at the origin ==================================================
 
-void InvocationUnit::HandleReply(net::Message msg) {
-  auto it = waiters_.find(msg.correlation);
-  if (it == waiters_.end()) {
-    // Late reply: its invocation already settled (timed out after the last
-    // attempt, or was answered by an earlier duplicate). Count it and emit
-    // a drop-reason span so traces show where the reply died.
-    core_.inst_.late_replies->Inc();
-    wire::TraceContext trace;
-    try {
-      serial::Reader peek(msg.payload);
-      if (peek.ReadBool()) {
-        serial::ReadValue(peek);
-        wire::ReadCoreId(peek);
-        peek.ReadVarint();  // hops
-        peek.ReadVarint();  // hint epoch
-      } else {
-        peek.ReadBool();
-        peek.ReadString();
-      }
-      trace = wire::ReadTraceTail(peek);
-    } catch (...) {
-      // Chaos-corrupted payload: drop it untraced.
+void InvocationUnit::TraceLateReply(const net::Message& msg) {
+  // Emit a drop-reason span so traces show where the reply died.
+  wire::TraceContext trace;
+  try {
+    serial::Reader peek(msg.payload);
+    if (peek.ReadBool()) {
+      serial::ReadValue(peek);
+      wire::ReadCoreId(peek);
+      peek.ReadVarint();  // hops
+      peek.ReadVarint();  // hint epoch
+    } else {
+      peek.ReadBool();
+      peek.ReadString();
     }
-    if (trace.valid())
-      core_.tracer().RecordInstant(monitor::SpanKind::kControl,
-                                   "late_reply_dropped", trace,
-                                   core_.scheduler().Now());
-    LogDebug() << "late invoke reply dropped at " << ToString(core_.id())
-               << " corr " << msg.correlation;
-    return;
+    trace = wire::ReadTraceTail(peek);
+  } catch (...) {
+    // Chaos-corrupted payload: drop it untraced.
   }
-  std::shared_ptr<AsyncCall> call = it->second;
-  sim::Scheduler& sched = core_.scheduler();
-  sim::Scheduler::NoPumpScope no_pump(sched);
+  if (trace.valid())
+    core_.tracer().RecordInstant(monitor::SpanKind::kControl,
+                                 "late_reply_dropped", trace,
+                                 core_.scheduler().Now());
+}
+
+std::exception_ptr InvocationUnit::HandleReply(AsyncCall& call,
+                                               net::Message msg) {
   serial::Reader r(msg.payload);
   if (r.ReadBool()) {
     Value value = serial::ReadValue(r);
@@ -906,8 +770,7 @@ void InvocationUnit::HandleReply(net::Message msg) {
     int reply_hops = static_cast<int>(r.ReadVarint());
     std::uint64_t reply_epoch = r.ReadVarint();
     (void)wire::ReadTraceTail(r);
-    sched.Cancel(call->timer);
-    waiters_.erase(call->corr);
+    core_.SettleRequest(call);
     // The chain length this delivery actually experienced — the signal the
     // directory plane exists to drive toward 1.
     core_.inst_.chain_len->Observe(static_cast<double>(reply_hops));
@@ -916,31 +779,23 @@ void InvocationUnit::HandleReply(net::Message msg) {
     // (MergeHint refuses local entries) or our hint already outranks the
     // reply's stamp (a newer movement published while it was in flight).
     if (shortening_ && location.valid() && location != core_.id())
-      core_.trackers().MergeHint(call->req.handle.id, location, reply_epoch,
-                                 call->req.handle.anchor_type);
+      core_.trackers().MergeHint(call.req.handle.id, location, reply_epoch,
+                                 call.req.handle.anchor_type);
     FinalizeOk(call, InvokeResult{std::move(value), location, reply_hops});
-    return;
+    return nullptr;
   }
   const bool transport_failure = r.ReadBool();
   std::string error = r.ReadString();
   (void)wire::ReadTraceTail(r);
   if (!transport_failure) {
     // Application error: the anchor's own exception — never retried.
-    sched.Cancel(call->timer);
-    waiters_.erase(call->corr);
+    core_.SettleRequest(call);
     FinalizeError(call, std::make_exception_ptr(FargoError(error)),
                   monitor::SpanOutcome::kAppError);
-    return;
+    return nullptr;
   }
   // Transport-flagged error: never executed, retry-safe.
-  sched.Cancel(call->timer);
-  if (call->attempt < call->max_attempts) {
-    ArmBackoffResend(call);
-    return;
-  }
-  waiters_.erase(call->corr);
-  FinalizeError(call, std::make_exception_ptr(UnreachableError(error)),
-                monitor::SpanOutcome::kTransportError);
+  return std::make_exception_ptr(UnreachableError(error));
 }
 
 void InvocationUnit::HandleTrackerUpdate(net::Message msg) {

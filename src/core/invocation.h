@@ -2,15 +2,18 @@
 // through tracker chains to the target anchor, implements the parameter
 // passing scheme, and shortens chains on return.
 //
-// Invocations run as an explicit asynchronous state machine: each remote
-// call is a heap-allocated AsyncCall record driven entirely by scheduled
-// continuations (send → timeout → backoff → resend → reply), never by
-// re-entrant scheduler pumps. The synchronous Invoke is a thin wrapper that
-// pumps the scheduler at top level until the call's future settles.
+// Invocations run as an explicit asynchronous state machine: each call is a
+// heap-allocated AsyncCall record driven entirely by scheduled
+// continuations, never by re-entrant scheduler pumps. A remote call's
+// attempts (send → timeout → backoff → resend → reply) run on the Core's
+// request engine (src/core/request.cpp); this unit supplies the routing,
+// the spans and the reply triage. The synchronous Invoke is a thin wrapper
+// that pumps the scheduler at top level until the call's future settles.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -70,8 +73,9 @@ class InvocationUnit {
   /// tracker hop, or park if the target is in transit to this Core.
   void HandleRequest(net::Message msg);
 
-  /// Reply arriving at the origin.
-  void HandleReply(net::Message msg);
+  /// A kInvokeReply that matched no outstanding request: records where the
+  /// reply died in its trace.
+  void TraceLateReply(const net::Message& msg);
 
   /// Chain-shortening notification: repoint our tracker for a complet.
   void HandleTrackerUpdate(net::Message msg);
@@ -90,11 +94,11 @@ class InvocationUnit {
   bool chain_shortening() const { return shortening_; }
 
  private:
-  /// One origin-side invocation in flight: a stable heap record shared by
-  /// the waiter map, the attempt/backoff timers, and the reply path — so
-  /// bookkeeping survives map rehashes (nested invocations insert into the
-  /// same map) and late replies can be told apart from live ones.
-  struct AsyncCall {
+  /// One origin-side invocation in flight. Its remote attempts ride the
+  /// Core's request engine, whose PendingRpc base carries the correlation,
+  /// slot lease, attempt count and timer; local dispatches and route waits
+  /// use the same record and leave those fields alone.
+  struct AsyncCall final : Core::PendingRpc {
     explicit AsyncCall(sim::Scheduler& s) : promise(s) {}
     /// The invocation as it will travel the wire, built ONCE per call:
     /// attempts mutate only `req.trace` and `req.handle.last_known` in
@@ -105,14 +109,19 @@ class InvocationUnit {
     sim::Promise<InvokeResult> promise;
     monitor::Tracer::Opened root{};  ///< the invocation's root span
     SimTime begin = 0;
-    std::uint64_t corr = 0;
-    /// Session slot leased for this call (net/session.h): every resend
-    /// reuses it, so the executor recognizes duplicates by slot replay.
-    /// Released when the call settles.
-    net::SessionKey skey;
-    int attempt = 0;
-    int max_attempts = 1;
-    sim::TaskId timer = 0;  ///< pending timeout or backoff task
+
+    bool settled() const override { return promise.settled(); }
+    std::string Describe() const override {
+      return "invocation of " + req.method + " on " + ToString(req.handle.id);
+    }
+    void Transmit(Core& core) override { core.invocation().SendAttempt(*this); }
+    std::exception_ptr OnReply(Core& core, net::Message msg) override {
+      return core.invocation().HandleReply(*this, std::move(msg));
+    }
+    void Fail(Core& core, std::exception_ptr error,
+              monitor::SpanOutcome outcome) override {
+      core.invocation().FinalizeError(*this, std::move(error), outcome);
+    }
   };
 
   /// One invocation parked on a missing route (target in transit to us).
@@ -131,8 +140,7 @@ class InvocationUnit {
   void DispatchLocalCall(const std::shared_ptr<AsyncCall>& call);
   /// Origin-side twin of ExecuteMoveAndReply: a kMoveMethod call whose
   /// target is hosted right here runs through MoveLocalAsync and settles
-  /// from the continuation (never via DispatchLocal's synchronous MoveLocal,
-  /// which pumps).
+  /// from the move's continuation.
   void DispatchLocalMove(const std::shared_ptr<AsyncCall>& call);
   /// Decodes a routed __fargo.move request and starts the movement; decode
   /// errors and a vanished target come back as a rejected future.
@@ -141,15 +149,20 @@ class InvocationUnit {
   void AwaitRoute(const std::shared_ptr<AsyncCall>& call, SimTime deadline);
   void ResumeAfterRoute(const std::shared_ptr<AsyncCall>& call,
                         SimTime deadline);
+  /// Hands the call to the request engine, leasing its slot toward the
+  /// first resolved hop.
   void BeginRemote(const std::shared_ptr<AsyncCall>& call);
-  void SendAttempt(const std::shared_ptr<AsyncCall>& call);
-  void OnAttemptTimeout(const std::shared_ptr<AsyncCall>& call);
-  void ArmBackoffResend(const std::shared_ptr<AsyncCall>& call);
+  /// One attempt on the wire: re-routes, stamps the retry span, and sends
+  /// (or loops back to this Core's own executor path).
+  void SendAttempt(AsyncCall& call);
+  /// Reply triage: success and application errors settle the call; a
+  /// transport-flagged error is retry-safe and is returned to the engine.
+  std::exception_ptr HandleReply(AsyncCall& call, net::Message msg);
 
   /// Completion: closes the root span, records metrics, settles the future.
-  void FinalizeOk(const std::shared_ptr<AsyncCall>& call, InvokeResult res);
-  void FinalizeError(const std::shared_ptr<AsyncCall>& call,
-                     std::exception_ptr error, monitor::SpanOutcome outcome);
+  void FinalizeOk(AsyncCall& call, InvokeResult res);
+  void FinalizeError(AsyncCall& call, std::exception_ptr error,
+                     monitor::SpanOutcome outcome);
 
   /// Executor-side handling of a decoded request. `msg` is the carrier the
   /// request arrived in (payload only needed if the request parks); the
@@ -182,13 +195,19 @@ class InvocationUnit {
                            std::uint64_t correlation,
                            const net::SessionKey& skey,
                            const monitor::Tracer::Opened& exec, int hops);
+  /// Settles an executed request: closes its exec span, then answers the
+  /// origin (two-way) or completes the slot and acks it (oneway). `error`
+  /// is the method's (or the move's) failure, if any.
+  void FinishExec(const wire::InvokeRequest& rq, std::uint64_t correlation,
+                  const net::SessionKey& skey,
+                  const monitor::Tracer::Opened& exec, int hops, Value result,
+                  const std::optional<std::string>& error);
   void SendShorteningUpdates(const wire::InvokeRequest& rq,
                              const wire::TraceContext& ctx);
 
   Core& core_;
   int max_hops_ = 64;
   bool shortening_ = true;
-  std::unordered_map<std::uint64_t, std::shared_ptr<AsyncCall>> waiters_;
   std::unordered_map<ComletId, std::vector<std::shared_ptr<RouteWait>>>
       route_waiters_;
 };

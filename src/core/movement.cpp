@@ -146,13 +146,6 @@ void MovementUnit::MarshalSection(
   out.WriteBytes(body.buffer());
 }
 
-void MovementUnit::MoveLocal(ComletId primary, CoreId dest,
-                             std::string continuation,
-                             std::vector<Value> args) {
-  sim::Await(MoveLocalAsync(primary, dest, std::move(continuation),
-                            std::move(args)));
-}
-
 sim::Future<sim::Unit> MovementUnit::MoveLocalAsync(ComletId primary,
                                                     CoreId dest,
                                                     std::string continuation,

@@ -16,8 +16,10 @@
 
 namespace fargo::core {
 
-/// Client-side retry schedule for retry-safe RPC failures. The default
-/// (max_attempts = 1) preserves single-shot semantics.
+/// Client-side retry schedule for retry-safe RPC failures, applied by the
+/// Core's request engine (src/core/request.cpp) to SendAsync round-trips
+/// and remote invocations alike. The default (max_attempts = 1) preserves
+/// single-shot semantics.
 struct RetryPolicy {
   int max_attempts = 1;            ///< total tries, including the first
   SimTime initial_backoff = Millis(10);

@@ -219,7 +219,34 @@ TEST_F(AsyncPipelineTest, PureAsyncPipelineNeverNestsThePump) {
   EXPECT_EQ(rt.metrics().GaugeValue("sched.pump_depth"), 1.0);
 }
 
-TEST_F(AsyncPipelineTest, LateRepliesAreCountedAndDropped) {
+TEST_F(AsyncPipelineTest, LocalOnewayMoveDoesNotPump) {
+  // A oneway __fargo.move on a complet hosted right here dispatches
+  // locally. The move must start as a state machine, like a routed one: a
+  // wait inside the posted task would nest the pump under the sim engine
+  // and throw under the locality engine.
+  auto cores = MakeCores(2);
+  auto counter = cores[0]->New<Counter>();
+  ::testing::internal::CaptureStderr();
+  counter.Post(core::kMoveMethod,
+               {Value(static_cast<std::int64_t>(cores[1]->id().value)),
+                Value(""), Value(Value::List{})});
+  rt.RunUntilIdle();
+  const std::string log = ::testing::internal::GetCapturedStderr();
+
+  EXPECT_TRUE(cores[1]->repository().Contains(counter.target()));
+  EXPECT_FALSE(cores[0]->repository().Contains(counter.target()));
+  EXPECT_EQ(log.find("failed"), std::string::npos) << log;
+  EXPECT_EQ(rt.scheduler().MaxPumpDepth(), 1);
+}
+
+// Late replies through both front doors of the request engine: an
+// invocation and a SendAsync round trip share one correlation table.
+enum class RequestKind { kInvoke, kNameRequest };
+
+class LateReplyTest : public AsyncPipelineTest,
+                      public ::testing::WithParamInterface<RequestKind> {};
+
+TEST_P(LateReplyTest, LateRepliesAreCountedAndDropped) {
   auto cores = MakeCores(2, Millis(30));  // RTT 60 ms
   core::RetryPolicy one_shot;
   one_shot.max_attempts = 1;
@@ -227,19 +254,36 @@ TEST_F(AsyncPipelineTest, LateRepliesAreCountedAndDropped) {
   cores[0]->SetRpcTimeout(Millis(40));  // gives up before the reply lands
 
   auto counter = cores[1]->New<Counter>();
-  auto stub = cores[0]->RefTo<Counter>(counter.handle());
-  EXPECT_THROW(stub.Invoke<std::int64_t>("increment"), UnreachableError);
+  if (GetParam() == RequestKind::kInvoke) {
+    auto stub = cores[0]->RefTo<Counter>(counter.handle());
+    EXPECT_THROW(stub.Invoke<std::int64_t>("increment"), UnreachableError);
+  } else {
+    serial::Writer w;
+    w.WriteString("nobody");
+    EXPECT_THROW(cores[0]->SendAndAwait(cores[1]->id(),
+                                        net::MessageKind::kNameRequest,
+                                        w.Take()),
+                 UnreachableError);
+  }
 
   // The genuine reply is still in flight; when it lands there is no waiter.
   rt.RunUntilIdle();
-  EXPECT_GE(rt.metrics().CounterValue("rpc.late_replies"), 1u);
+  EXPECT_EQ(rt.metrics().CounterValue("rpc.late_replies"), 1u);
 
   // The execution happened exactly once at the target — the timeout was a
   // client-side judgement, not a lost operation.
   auto anchor = cores[1]->repository().Get(counter.target());
   ASSERT_NE(anchor, nullptr);
-  EXPECT_EQ(static_cast<const Counter*>(anchor.get())->value(), 1);
+  EXPECT_EQ(static_cast<const Counter*>(anchor.get())->value(),
+            GetParam() == RequestKind::kInvoke ? 1 : 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    BothFrontDoors, LateReplyTest,
+    ::testing::Values(RequestKind::kInvoke, RequestKind::kNameRequest),
+    [](const ::testing::TestParamInfo<RequestKind>& info) {
+      return info.param == RequestKind::kInvoke ? "Invoke" : "NameRequest";
+    });
 
 }  // namespace
 }  // namespace fargo::testing

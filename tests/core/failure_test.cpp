@@ -150,6 +150,68 @@ TEST_F(FailureTest, FlappingLinkEventualProgress) {
   EXPECT_GT(successes, 0);
 }
 
+// A non-durable Core restarts with its correlation counter at zero, so its
+// first request after the restart re-mints the correlation of a request
+// still outstanding from before the crash. The old request's timer must
+// fail only its own future: a resend from the new incarnation, or a table
+// or slot change under the new request, would drop the new request's reply
+// as late. Once through SendAsync, once through InvokeAsync.
+TEST_F(FailureTest, ByteRequestOutlivingACrashLeavesTheNewIncarnationAlone) {
+  auto cores = MakeCores(2);
+  core::Core& a = *cores[0];
+  core::Core& b = *cores[1];
+  a.SetRpcTimeout(Seconds(1));
+  b.Crash();
+  auto lookup = [] {
+    serial::Writer w;
+    w.WriteString("nobody");
+    return w.Take();
+  };
+  auto old_request =
+      a.SendAsync(b.id(), net::MessageKind::kNameRequest, lookup());
+  rt.RunFor(Millis(10));
+  a.Crash();
+  a.Restart();
+  b.Restart();
+  rt.RunFor(Millis(985));  // the old request times out 5 ms from now
+  const std::uint64_t late = rt.metrics().CounterValue("rpc.late_replies");
+  auto new_request =
+      a.SendAsync(b.id(), net::MessageKind::kNameRequest, lookup());
+  rt.RunUntilIdle();
+
+  ASSERT_TRUE(old_request.settled());
+  EXPECT_THROW(old_request.Take(), UnreachableError);
+  ASSERT_TRUE(new_request.settled());
+  EXPECT_TRUE(new_request.ok());
+  EXPECT_EQ(rt.metrics().CounterValue("rpc.late_replies"), late);
+}
+
+TEST_F(FailureTest, InvocationOutlivingACrashLeavesTheNewIncarnationAlone) {
+  auto cores = MakeCores(2);
+  core::Core& a = *cores[0];
+  core::Core& b = *cores[1];
+  a.SetRpcTimeout(Seconds(1));
+  const ComletHandle lost = b.New<Counter>().handle();
+  b.Crash();
+  auto old_call = a.invocation().InvokeAsync(lost, "increment", {});
+  rt.RunFor(Millis(10));
+  a.Crash();
+  a.Restart();
+  b.Restart();
+  const ComletHandle fresh = b.New<Counter>().handle();
+  rt.RunFor(Millis(985));  // the old call times out 5 ms from now
+  const std::uint64_t late = rt.metrics().CounterValue("rpc.late_replies");
+  auto new_call = a.invocation().InvokeAsync(fresh, "increment", {});
+  rt.RunUntilIdle();
+
+  ASSERT_TRUE(old_call.settled());
+  EXPECT_THROW(old_call.Take(), UnreachableError);
+  ASSERT_TRUE(new_call.settled());
+  ASSERT_TRUE(new_call.ok());
+  EXPECT_EQ(new_call.value().value.AsInt(), 1);
+  EXPECT_EQ(rt.metrics().CounterValue("rpc.late_replies"), late);
+}
+
 TEST_F(FailureTest, EventNotifyToDeadSubscriberIsDropped) {
   auto cores = MakeCores(2);
   cores[1]->ListenThresholdAt(cores[0]->id(), monitor::ComletLoadProbe(), 0.5,
