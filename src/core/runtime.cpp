@@ -60,6 +60,11 @@ Runtime::Runtime(const RuntimeOptions& options)
   const serial::BufferStats at_boot = serial::GetBufferStats();
   synced_allocations_ = at_boot.allocations;
   synced_regrow_bytes_ = at_boot.bytes_copied;
+  // The locality engine's lookahead: Cores reach each other only over
+  // links, so a round may cover every timestamp before the shortest one
+  // could deliver anything.
+  if (auto* p = dynamic_cast<sim::ParallelScheduler*>(scheduler_.get()))
+    p->SetLookahead([&net = network_] { return net.MinLinkLatency(); });
   // Max-gauge of scheduler pump nesting: the async invocation pipeline keeps
   // this at 1; anything deeper means a blocking wait re-entered the pump.
   scheduler_->SetPumpObserver(

@@ -65,15 +65,43 @@ void Network::Unregister(CoreId id) {
   handlers_.erase(id);
 }
 
+void Network::PutLinkLocked(CoreId from, CoreId to, LinkModel model) {
+  // A fresh slot starts as the default link, which min_latency_ covers.
+  LinkModel& slot =
+      links_.try_emplace(Key(from, to), default_link_).first->second;
+  const SimTime old = slot.latency;
+  slot = model;
+  if (from == to) return;  // loopback is never charged a link
+  if (model.latency <= min_latency_) {
+    min_latency_ = model.latency;
+  } else if (old == min_latency_) {
+    RecomputeMinLatencyLocked();
+  }
+}
+
+void Network::RecomputeMinLatencyLocked() {
+  min_latency_ = default_link_.latency;
+  // fargolint: order-insensitive(a minimum)
+  for (const auto& [key, link] : links_)
+    if ((key >> 32) != (key & 0xffffffffu))
+      min_latency_ = std::min(min_latency_, link.latency);
+}
+
 void Network::SetLink(CoreId a, CoreId b, LinkModel model) {
   std::lock_guard<std::mutex> lk(mu_);
-  links_[Key(a, b)] = model;
-  links_[Key(b, a)] = model;
+  PutLinkLocked(a, b, model);
+  PutLinkLocked(b, a, model);
 }
 
 void Network::SetLinkOneWay(CoreId from, CoreId to, LinkModel model) {
   std::lock_guard<std::mutex> lk(mu_);
-  links_[Key(from, to)] = model;
+  PutLinkLocked(from, to, model);
+}
+
+void Network::SetDefaultLink(LinkModel model) {
+  std::lock_guard<std::mutex> lk(mu_);
+  default_link_ = model;
+  RecomputeMinLatencyLocked();
 }
 
 LinkModel Network::GetLinkLocked(CoreId from, CoreId to) const {
@@ -88,12 +116,16 @@ LinkModel Network::GetLink(CoreId from, CoreId to) const {
   return GetLinkLocked(from, to);
 }
 
-void Network::SetPartitioned(CoreId a, CoreId b, bool partitioned) {
+void Network::SetLinkUp(CoreId from, CoreId to, bool up) {
   std::lock_guard<std::mutex> lk(mu_);
-  LinkModel m = GetLinkLocked(a, b);
-  m.up = !partitioned;
-  links_[Key(a, b)] = m;
-  links_[Key(b, a)] = m;
+  LinkModel m = GetLinkLocked(from, to);
+  m.up = up;
+  PutLinkLocked(from, to, m);
+}
+
+void Network::SetPartitioned(CoreId a, CoreId b, bool partitioned) {
+  SetLinkUp(a, b, !partitioned);
+  SetLinkUp(b, a, !partitioned);
 }
 
 void Network::CountDrop(const Message& msg, DropReason reason) {
@@ -177,17 +209,21 @@ void Network::SetFaultPlan(const FaultPlan& plan) {
     chaos_.Arm(plan);
   }
   for (const FaultPlan::LinkFlap& flap : plan.flaps) {
-    // Flaps only touch lock-guarded link state, so any locality may run
-    // them; ScheduleAt keeps them on the caller's (or default) locality.
-    // fargolint: allow(capture-this) Runtime clears the queue before the Network dies
-    sched_.ScheduleAt(flap.down_at, [this, flap] {
-      SetPartitioned(flap.a, flap.b, true);
-    });
-    if (flap.up_at > flap.down_at) {
+    // Each direction flips on its sending Core's locality, so every Send
+    // sees its own link in that locality's execution order — the flap is
+    // exact even inside a lookahead window.
+    for (const auto& [from, to] : {std::pair{flap.a, flap.b},
+                                   std::pair{flap.b, flap.a}}) {
       // fargolint: allow(capture-this) Runtime clears the queue before the Network dies
-      sched_.ScheduleAt(flap.up_at, [this, flap] {
-        SetPartitioned(flap.a, flap.b, false);
+      sched_.Post(from.value, flap.down_at, [this, from, to] {
+        SetLinkUp(from, to, false);
       });
+      if (flap.up_at > flap.down_at) {
+        // fargolint: allow(capture-this) Runtime clears the queue before the Network dies
+        sched_.Post(from.value, flap.up_at, [this, from, to] {
+          SetLinkUp(from, to, true);
+        });
+      }
     }
   }
   for (const FaultPlan::CoreCrash& crash : plan.crashes) {

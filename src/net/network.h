@@ -90,6 +90,8 @@ struct LinkStats {
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
   std::uint64_t dropped = 0;  ///< any reason (link down, chaos, arrival)
+
+  friend bool operator==(const LinkStats&, const LinkStats&) = default;
 };
 
 /// The deterministic message fabric. Cores register a handler; Send()
@@ -124,14 +126,18 @@ class Network {
   /// Sets a single direction only (asymmetric links).
   void SetLinkOneWay(CoreId from, CoreId to, LinkModel model);
   /// Model used for pairs without an explicit link.
-  void SetDefaultLink(LinkModel model) {
-    std::lock_guard<std::mutex> lk(mu_);
-    default_link_ = model;
-  }
+  void SetDefaultLink(LinkModel model);
   /// Effective model for the directed pair.
   LinkModel GetLink(CoreId from, CoreId to) const;
-  /// Cuts or restores both directions.
+  /// Cuts or restores both directions, each keeping its own model.
   void SetPartitioned(CoreId a, CoreId b, bool partitioned);
+  /// The least latency of any link between two distinct Cores, the default
+  /// link included (loopback is not a link). Nothing a Core sends reaches
+  /// another Core sooner, so it is the locality engine's lookahead.
+  SimTime MinLinkLatency() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return min_latency_;
+  }
 
   /// Fixed framing overhead charged per message (default 64 bytes).
   void SetHeaderBytes(std::size_t n) {
@@ -250,6 +256,13 @@ class Network {
   /// Callers hold mu_.
   void CountDrop(const Message& msg, DropReason reason);
   LinkModel GetLinkLocked(CoreId from, CoreId to) const;
+  /// Sets one direction's model and keeps min_latency_ current. Callers
+  /// hold mu_.
+  void PutLinkLocked(CoreId from, CoreId to, LinkModel model);
+  void RecomputeMinLatencyLocked();
+  /// Takes one direction down or up, keeping its model (fault-plan flaps
+  /// run this on the sending Core's locality).
+  void SetLinkUp(CoreId from, CoreId to, bool up);
 
   sim::Scheduler& sched_;
   /// Guards every mutable field below (FARGO_PARALLEL: Send and Deliver
@@ -260,6 +273,7 @@ class Network {
   std::unordered_map<PairKey, LinkModel> links_;
   std::unordered_map<PairKey, LinkStats> stats_;
   LinkModel default_link_;
+  SimTime min_latency_ = default_link_.latency;  ///< see MinLinkLatency
   LinkStats total_;
   std::uint64_t dropped_by_[kDropReasonCount] = {0, 0, 0};
   std::size_t header_bytes_ = 64;

@@ -253,6 +253,9 @@ void Engine::AttachRule(const Rule& rule_in) {
   Env env;
 
   if (rule->is_periodic) {
+    // The body touches admin_'s trackers and request table, so the timer
+    // lives on admin_'s home locality.
+    sim::Scheduler::AffinityScope home(admin_.id().value);
     attached.timer = std::make_unique<sim::PeriodicTask>(
         runtime_.scheduler(), rule->interval, [this, rule, alive = alive_] {
           if (!*alive) return;

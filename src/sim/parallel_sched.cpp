@@ -5,6 +5,7 @@
 #include <limits>
 #include <mutex>
 #include <queue>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -17,26 +18,40 @@ namespace {
 
 constexpr SimTime kNoDue = std::numeric_limits<SimTime>::max();
 
-// TaskId layout: [8b destination locality | 8b producer tag | 48b counter].
-// The destination routes Cancel; the producer tag + per-producer counter
-// make ids unique without shared state (tag 0 = conductor, i+1 = locality i).
-TaskId MakeId(int dest, unsigned producer_tag, std::uint64_t n) {
+// TaskId layout: [8b destination locality | 8b producer rank | 48b counter].
+// The destination routes Cancel; the producer rank (locality i = i, the
+// conductor = localities()) and per-producer counter make ids unique
+// without shared state, and are the tail of the ordering key.
+TaskId MakeId(int dest, int producer, std::uint64_t n) {
   return (static_cast<TaskId>(dest) << 56) |
-         (static_cast<TaskId>(producer_tag & 0xFFu) << 48) |
+         (static_cast<TaskId>(producer & 0xFF) << 48) |
          (n & 0x0000FFFFFFFFFFFFull);
 }
 int IdDest(TaskId id) { return static_cast<int>(id >> 56); }
+int IdProducer(TaskId id) { return static_cast<int>((id >> 48) & 0xFFu); }
+std::uint64_t IdSeq(TaskId id) { return id & 0x0000FFFFFFFFFFFFull; }
+/// Local work first, then handoffs by producer rank (the conductor last).
+int IdRank(TaskId id) {
+  return IdProducer(id) == IdDest(id) ? 0 : IdProducer(id) + 1;
+}
 
 struct Task {
   SimTime at;
-  std::uint64_t prio;  // local insertion order: same-time FIFO tiebreak
+  SimTime made;       ///< the producer's clock when it scheduled the task
+  std::uint32_t sub;  ///< the production round at `made` (see sub_)
   TaskId id;
   std::function<void()> fn;
 };
+/// The ordering key (at, made, sub, local before handoff, producer rank,
+/// append order): the insertion order of one-timestamp rounds, whatever the
+/// window boundaries.
 struct Later {
   bool operator()(const Task& a, const Task& b) const {
     if (a.at != b.at) return a.at > b.at;
-    return a.prio > b.prio;
+    if (a.made != b.made) return a.made > b.made;
+    if (a.sub != b.sub) return a.sub > b.sub;
+    if (IdRank(a.id) != IdRank(b.id)) return IdRank(a.id) > IdRank(b.id);
+    return IdSeq(a.id) > IdSeq(b.id);
   }
 };
 
@@ -115,8 +130,10 @@ struct ParallelScheduler::Locality {
   // the happens-before edge).
   std::priority_queue<Task, std::vector<Task>, Later> queue;
   std::unordered_set<TaskId> cancelled;
-  std::uint64_t prio_seq = 0;    ///< queue insertion order
   std::size_t max_handoffs = 0;  ///< most handoffs taken in one round
+  /// This locality's clock: the `at` of its running (or last) task, and
+  /// the round's first timestamp before its first task.
+  SimTime clock = 0;
 
   // Round results, read by the conductor once the step's thread parks.
   SimTime next_due = kNoDue;
@@ -177,19 +194,17 @@ void ParallelScheduler::Step(int idx, std::uint64_t round) {
   AffinityScope unscoped;
   Locality& self = *locs_[static_cast<std::size_t>(idx)];
 
-  // Take last round's outboxes for this locality by producer rank (the
-  // conductor last), each in append order. The queue runs same-time
-  // tasks in insertion order, so execution follows the (at, rank,
-  // append) key — a pure function of the workload, not of thread timing.
+  self.clock = now_;
+
+  // Take last round's outboxes for this locality. Each task carries its
+  // ordering key, so the queue runs the window in key order — a pure
+  // function of the workload, not of thread timing or take order.
   std::size_t handoffs = 0;
   for (std::size_t p = 0; p < producers_.size(); ++p) {
     Outbox& box =
         producers_[p]->outbox[(round - 1) & 1][static_cast<std::size_t>(idx)];
     if (p < locs_.size()) handoffs += box.tasks.size();
-    for (Task& t : box.tasks) {
-      t.prio = self.prio_seq++;
-      self.queue.push(std::move(t));
-    }
+    for (Task& t : box.tasks) self.queue.push(std::move(t));
     box.tasks.clear();
     box.min_at = kNoDue;
     self.cancelled.insert(box.cancels.begin(), box.cancels.end());
@@ -197,23 +212,25 @@ void ParallelScheduler::Step(int idx, std::uint64_t round) {
   }
   self.max_handoffs = std::max(self.max_handoffs, handoffs);
 
-  // Execute everything due now. Locally-scheduled same-time work runs
-  // within this round (matching the sim's run-to-completion at a
-  // timestamp); handoffs land in outboxes for the next round.
+  // Execute everything due by the window's end on this locality's own
+  // clock. Local work scheduled inside the window runs within this round;
+  // handoffs land in outboxes for the next one. A throwing task does not
+  // end the step: the window always completes, and the pump rethrows.
   std::uint64_t exec = 0;
-  try {
-    while (!self.queue.empty() && self.queue.top().at <= now_) {
-      Task e = std::move(const_cast<Task&>(self.queue.top()));
-      self.queue.pop();
-      if (auto it = self.cancelled.find(e.id); it != self.cancelled.end()) {
-        self.cancelled.erase(it);
-        continue;
-      }
-      ++exec;
-      e.fn();
+  while (!self.queue.empty() && self.queue.top().at <= window_end_) {
+    Task e = std::move(const_cast<Task&>(self.queue.top()));
+    self.queue.pop();
+    if (auto it = self.cancelled.find(e.id); it != self.cancelled.end()) {
+      self.cancelled.erase(it);
+      continue;
     }
-  } catch (...) {
-    if (!self.error) self.error = std::current_exception();
+    ++exec;
+    self.clock = e.at;
+    try {
+      e.fn();
+    } catch (...) {
+      if (!self.error) self.error = std::current_exception();
+    }
   }
   // Prune cancelled heads so next_due names a live event (a cancelled
   // timestamp must not drag the global clock forward).
@@ -239,6 +256,12 @@ TaskId ParallelScheduler::Post(std::uint64_t affinity, SimTime t,
   return Enqueue(LocalityOf(affinity), t, std::move(fn));
 }
 
+SimTime ParallelScheduler::Now() const {
+  if (tl_ctx.sched == this)
+    return locs_[static_cast<std::size_t>(tl_ctx.loc)]->clock;
+  return now_;
+}
+
 ParallelScheduler::Outbox& ParallelScheduler::OutboxFor(int dest) {
   const bool in_step = tl_ctx.sched == this;
   Producer& p = *producers_[static_cast<std::size_t>(
@@ -249,32 +272,45 @@ ParallelScheduler::Outbox& ParallelScheduler::OutboxFor(int dest) {
 
 TaskId ParallelScheduler::Enqueue(int dest, SimTime t,
                                   std::function<void()> fn) {
-  if (t < now_) t = now_;
-  if (tl_ctx.sched != this) {
-    const TaskId id = MakeId(dest, 0, producers_.back()->id_seq++);
-    OutboxFor(dest).Add(Task{t, 0, id, std::move(fn)});
+  const bool in_step = tl_ctx.sched == this;
+  const int rank = in_step ? tl_ctx.loc : num_localities_;
+  const SimTime clock =
+      in_step ? locs_[static_cast<std::size_t>(rank)]->clock : now_;
+  if (t < clock) t = clock;
+  const bool handoff = in_step && dest != rank;
+  if (handoff && window_end_ > now_ && t <= window_end_)
+    throw FargoError("cross-locality task at " + std::to_string(t) +
+                     " ns inside the lookahead window [" +
+                     std::to_string(now_) + ", " +
+                     std::to_string(window_end_) +
+                     "] ns (a link shorter than the lookahead, or a Post "
+                     "that bypasses the network)");
+  Producer& self = *producers_[static_cast<std::size_t>(rank)];
+  Task task{t, clock, clock == now_ ? sub_ : 0u,
+            MakeId(dest, rank, self.id_seq++), std::move(fn)};
+  const TaskId id = task.id;
+  if (in_step && !handoff) {
+    locs_[static_cast<std::size_t>(dest)]->queue.push(std::move(task));
     return id;
   }
-  Producer& self = *producers_[static_cast<std::size_t>(tl_ctx.loc)];
-  const TaskId id =
-      MakeId(dest, static_cast<unsigned>(tl_ctx.loc) + 1, self.id_seq++);
-  if (dest == tl_ctx.loc) {
-    Locality& l = *locs_[static_cast<std::size_t>(dest)];
-    l.queue.push(Task{t, l.prio_seq++, id, std::move(fn)});
-  } else {
-    OutboxFor(dest).Add(Task{t, 0, id, std::move(fn)});
-    ++self.handoffs;
-  }
+  if (handoff) ++self.handoffs;
+  OutboxFor(dest).Add(std::move(task));
   return id;
 }
 
 void ParallelScheduler::Cancel(TaskId id) {
   const int dest = IdDest(id);
   if (dest < 0 || dest >= num_localities_) return;
-  if (tl_ctx.sched == this && dest == tl_ctx.loc) {
+  const bool in_step = tl_ctx.sched == this;
+  if (in_step && dest == tl_ctx.loc) {
     locs_[static_cast<std::size_t>(dest)]->cancelled.insert(id);
     return;
   }
+  // The target may already have run, or be about to, inside this window.
+  if (in_step && window_end_ > now_)
+    throw FargoError("cross-locality cancel inside the lookahead window [" +
+                     std::to_string(now_) + ", " +
+                     std::to_string(window_end_) + "] ns");
   OutboxFor(dest).cancels.push_back(id);
 }
 
@@ -292,11 +328,18 @@ void ParallelScheduler::RunRound() {
     b.cv_done.wait(lk, [&] { return b.arrived == num_localities_ - 1; });
   }
   std::exception_ptr err;
-  for (auto& l : locs_)
+  SimTime reached = now_;
+  for (auto& l : locs_) {
+    reached = std::max(reached, l->clock);
     if (l->error && !err) {
       err = l->error;
       l->error = nullptr;
     }
+  }
+  if (reached > now_) {
+    now_ = reached;
+    sub_ = 0;
+  }
   if (err) std::rethrow_exception(err);
 }
 
@@ -321,10 +364,25 @@ bool ParallelScheduler::Advance(const std::function<bool()>& done,
     const SimTime due = NextDue();
     if ((between_rounds || due > now_) && done && done()) return true;
     if (due == kNoDue || due > horizon) {
-      if (horizon != kNoDue && horizon > now_) now_ = horizon;
+      if (horizon != kNoDue && horizon > now_) {
+        now_ = horizon;
+        sub_ = 0;
+      }
       return done && done();
     }
-    now_ = std::max(now_, due);
+    if (due > now_) {
+      now_ = due;
+      sub_ = 0;
+    } else {
+      ++sub_;  // another round at the same timestamp
+    }
+    // A pump that checks a predicate observes every timestamp; one without
+    // runs whole lookahead windows.
+    const SimTime lookahead = done || !lookahead_ ? 0 : lookahead_();
+    window_end_ = now_;
+    if (lookahead > 1)
+      window_end_ =
+          lookahead - 1 < horizon - now_ ? now_ + (lookahead - 1) : horizon;
     RunRound();
   }
 }

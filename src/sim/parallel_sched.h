@@ -4,24 +4,36 @@
 // (`affinity % localities()`), execute InvocationUnits/MovementUnits as
 // non-blocking state machines. Locality 0 runs on the conductor itself and
 // localities 1..N-1 on worker threads, so N localities take N threads and
-// N=1 spawns none. The engine is a conservative time-stepped parallel
-// discrete-event scheduler:
+// N=1 spawns none. The engine is a conservative parallel discrete-event
+// scheduler:
 //
 //  - The *conductor* (whichever thread calls the Run* pumps — tests, shell,
-//    benches) advances the global virtual clock to the next due timestamp
-//    and releases the workers for one or more barrier-synchronized
-//    *micro-rounds* at that time, running locality 0's share of each round
-//    itself.
+//    benches) picks the next due timestamp T and releases the workers for
+//    one barrier-synchronized *round* covering the window [T, E], running
+//    locality 0's share of it itself.
 //  - During a round each locality drains its own priority queue of events
-//    due at the current time. A continuation targeting another Core's
-//    ownership domain is never run in place: the producing locality
-//    appends it to its own outbox for the owning locality, and the owner
-//    takes it at the start of the next micro-round.
-//  - A round repeats at the same timestamp only while a handed-off task or
-//    any cancel is due at it; a handoff dated later rides in its outbox
-//    into whichever round comes next. Virtual-time semantics are therefore
-//    identical to the sim engine: an event scheduled for time T runs at
-//    Now() == T, never early, never late.
+//    due by E, in time order, on its *own clock*: inside a step, Now() is
+//    the `at` of the running task, not a global time. A continuation
+//    targeting another Core's ownership domain is never run in place: the
+//    producing locality appends it to its own outbox for the owning
+//    locality, and the owner takes it at the start of the next round.
+//  - The window is the lookahead of conservative parallel simulation
+//    (Chandy–Misra): Cores affect each other only through messages on links
+//    whose latency is at least L, so nothing one locality sends at t ≥ T
+//    can land on another before T + L. With a lookahead source installed
+//    (SetLookahead; Runtime hands it Network::MinLinkLatency), RunFor and
+//    RunUntilIdle run windows E = T + L − 1, clamped to the RunFor horizon.
+//    The predicate pumps (RunOne, RunUntil, RunUntilOr) and a lookahead of
+//    0 or 1 run one timestamp per round (E = T), so a pump that stops on a
+//    condition stops exactly where the one-timestamp engine does.
+//  - Inside a window wider than one timestamp, a cross-locality task dated
+//    at or before E, or any cross-locality cancel, throws FargoError (it
+//    surfaces at the pump) instead of running late. In a one-timestamp
+//    window such a handoff or cancel makes the round repeat at T; a handoff
+//    dated later rides in its outbox into whichever round comes next.
+//  - Between rounds Now() is the conductor's clock: the latest `at` any
+//    locality has run, or the RunFor horizon. No locality has run anything
+//    later, so work the conductor stages is never in a locality's past.
 //
 // Ownership rule: every producer — locality i during its round, or the
 // conductor while no round runs — appends tasks and cancels bound for
@@ -30,12 +42,14 @@
 // the next round. The round barrier's mutex is the one synchronisation
 // point and the happens-before edge between the two.
 //
-// Determinism: each locality takes the outboxes by producer rank — the
-// conductor ranks after every locality — each in append order, and its
-// queue runs same-time tasks in insertion order. Handed-off work thus runs
-// in (time, producer rank, append order) order, a pure function of the
-// workload: two runs with the same FARGO_PARALLEL=N are identical. (Sim
-// and parallel interleave same-time events across *different* Cores
+// Determinism: a locality runs tasks in the order of an explicit key, (at,
+// producer clock at production, production round at that clock, local
+// before handoff, producer rank — the conductor last — producer append
+// order). The key reproduces the insertion order of one-timestamp rounds
+// exactly and does not depend on where window boundaries fall, so a run is
+// a pure function of the workload: two runs with the same FARGO_PARALLEL=N
+// are identical, and windows change the round count, not the results.
+// (Sim and parallel interleave same-time events across *different* Cores
 // differently; what is mode-invariant is the observable behavior — ledger
 // contents, exactly-once, wire traffic per link — not internal event
 // order. See DESIGN.md §5.1.)
@@ -50,6 +64,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -65,7 +80,9 @@ class ParallelScheduler final : public Scheduler {
   explicit ParallelScheduler(int localities);
   ~ParallelScheduler() override;
 
-  SimTime Now() const override { return now_; }
+  /// Inside a locality's step, that locality's clock (the running task's
+  /// `at`); elsewhere the conductor's clock.
+  SimTime Now() const override;
   TaskId ScheduleAt(SimTime t, std::function<void()> fn) override;
   TaskId Post(std::uint64_t affinity, SimTime t,
               std::function<void()> fn) override;
@@ -87,11 +104,19 @@ class ParallelScheduler final : public Scheduler {
                                            num_localities_));
   }
 
+  /// Installs the lookahead: the least delay with which a task on one
+  /// locality can schedule work on another. Read by the conductor before
+  /// every round, so a lookahead that changes between rounds is honoured.
+  /// Without one every round covers a single timestamp.
+  void SetLookahead(std::function<SimTime()> lookahead) {
+    lookahead_ = std::move(lookahead);
+  }
+
   /// Engine telemetry, mirrored into the metrics registry by Runtime
   /// (`locality.*`). Safe to read between pumps.
   struct Telemetry {
     std::uint64_t handoffs = 0;         ///< cross-locality tasks enqueued
-    std::uint64_t rounds = 0;           ///< barrier micro-rounds driven
+    std::uint64_t rounds = 0;           ///< barrier rounds driven
     std::uint64_t max_queue_depth = 0;  ///< most handoffs one locality
                                         ///< took in one round
   };
@@ -105,8 +130,8 @@ class ParallelScheduler final : public Scheduler {
   void EnsureStarted();
   void WorkerLoop(int idx);
   /// Locality `idx`'s share of round `round`: take its outboxes, run its
-  /// tasks due at Now(), publish its next due time. Runs on the locality's
-  /// thread (a worker, or the conductor for locality 0).
+  /// tasks due by the window's end, publish its next due time. Runs on the
+  /// locality's thread (a worker, or the conductor for locality 0).
   void Step(int idx, std::uint64_t round);
   /// Routes a task to locality `dest`: the calling locality's own queue,
   /// or the calling producer's outbox for `dest`.
@@ -116,12 +141,15 @@ class ParallelScheduler final : public Scheduler {
   /// The one advance loop behind every pump. Runs a round at each next due
   /// time until `done` holds (checked before every round with
   /// `between_rounds`, else once each timestamp is finished) or nothing
-  /// more is due by `horizon`. Running out of events moves the clock to a
-  /// finite `horizon`. Returns whether `done` holds (false without one).
+  /// more is due by `horizon`. Without `done`, rounds cover lookahead
+  /// windows clamped to `horizon`; with one, a single timestamp. Running
+  /// out of events moves the clock to a finite `horizon`. Returns whether
+  /// `done` holds (false without one).
   bool Advance(const std::function<bool()>& done, bool between_rounds,
                SimTime horizon);
-  /// Drives one barrier micro-round at Now(), running locality 0 on the
-  /// calling (conductor) thread; rethrows a task's exception.
+  /// Drives one barrier round over [now_, window_end_], running locality 0
+  /// on the calling (conductor) thread, then moves the conductor's clock to
+  /// the latest time any locality ran; rethrows a task's exception.
   void RunRound();
   /// When the next round is due: Now() while any cancel is outboxed, else
   /// the earliest time across the locality queues and the outboxes
@@ -132,8 +160,15 @@ class ParallelScheduler final : public Scheduler {
   std::vector<std::unique_ptr<Locality>> locs_;
   /// Localities by index, then the conductor (the last rank).
   std::vector<std::unique_ptr<Producer>> producers_;
+  std::function<SimTime()> lookahead_;
 
-  SimTime now_ = 0;  ///< written by the conductor while workers are parked
+  // Written by the conductor while workers are parked; read-only during a
+  // round.
+  SimTime now_ = 0;  ///< the conductor's clock; a round's first timestamp
+  /// How many earlier rounds ran at now_: the production round in the
+  /// ordering key of work produced at now_ (0 for any later clock).
+  std::uint32_t sub_ = 0;
+  SimTime window_end_ = 0;  ///< the current round's last timestamp
 
   // Barrier state lives behind an opaque impl so <thread> stays out of the
   // header (the determinism lint confines threading to src/sim/).

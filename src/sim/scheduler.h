@@ -10,8 +10,8 @@
 //    Default for tests, benches and CI — one priority queue, FIFO seq
 //    tiebreak, bit-identical runs.
 //  - `ParallelScheduler` (parallel_sched.h): N localities — the conductor
-//    plus N−1 worker threads — in conservative time-stepped rounds,
-//    selected by `FARGO_PARALLEL=N`.
+//    plus N−1 worker threads — in conservative rounds, each covering one
+//    lookahead window of virtual time, selected by `FARGO_PARALLEL=N`.
 //    Same virtual-time semantics, same observable results (DESIGN.md
 //    §localities), run-to-run deterministic for a fixed N.
 //
@@ -57,7 +57,10 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Current simulated time.
+  /// Current simulated time. In the parallel engine, inside a task it is
+  /// the task's own `at` on its locality's clock (localities run a window
+  /// of timestamps concurrently, so there is no one global "now" during a
+  /// round); between pumps it is the conductor's clock.
   virtual SimTime Now() const = 0;
 
   /// Schedules `fn` at absolute time `t` (clamped to Now()). In the
@@ -97,7 +100,8 @@ class Scheduler {
   /// which may run many events across localities.)
   virtual bool RunOne() = 0;
 
-  /// Runs events until the queue drains.
+  /// Runs events until the queue drains. (Parallel engine: whole lookahead
+  /// windows per round.)
   virtual void RunUntilIdle() = 0;
 
   /// Runs events until `pred()` holds; throws FargoError if the queue
@@ -110,6 +114,7 @@ class Scheduler {
                           SimTime deadline) = 0;
 
   /// Runs all events due up to Now()+d, then advances the clock to it.
+  /// (Parallel engine: lookahead windows, the last clamped to Now()+d.)
   virtual void RunFor(SimTime d) = 0;
 
   /// Number of pending (non-cancelled) events.

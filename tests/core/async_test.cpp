@@ -108,8 +108,9 @@ TEST_F(AsyncPipelineTest, ScriptRuleMovesComletWhileInvocationsAreInFlight) {
   constexpr int kWave = 8;
   for (int i = 0; i < kWave; ++i)
     futures.push_back(stub.InvokeAsync<std::int64_t>("increment"));
-  // A second wave launched mid-flight of the relocation.
-  rt.scheduler().ScheduleAfter(Millis(35), [&] {
+  // A second wave launched mid-flight of the relocation, on cores[0]'s
+  // locality: the stub issues through cores[0]'s request table.
+  rt.scheduler().PostAfter(cores[0]->id().value, Millis(35), [&] {
     for (int i = 0; i < kWave; ++i)
       futures.push_back(stub.InvokeAsync<std::int64_t>("increment"));
   });

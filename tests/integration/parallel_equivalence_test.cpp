@@ -349,5 +349,140 @@ TEST(ParallelEquivalenceTest, MovementDuringHandoffKeepsExactlyOnce) {
   }
 }
 
+// Lookahead windows. RunFor and RunUntilIdle run one round per window of
+// the shortest link's latency; the predicate pumps run one round per
+// timestamp. Each locality runs its tasks by an ordering key that does not
+// depend on where a window ends, so the two must agree on everything a run
+// produces, and differ only in how many barrier rounds it took.
+
+/// What one closed-loop run produced, compared field by field.
+struct LoopRun {
+  std::vector<std::vector<SimTime>> latency;  ///< per client, per op
+  /// The ledger total each apply returned (-1 if the op failed): pins the
+  /// order in which applies from every client reached the ledger.
+  std::vector<std::vector<std::int64_t>> returned;
+  std::vector<std::pair<std::pair<CoreId, CoreId>, net::LinkStats>> links;
+  std::int64_t ledger_total = 0;
+  std::int64_t ledger_dups = 0;
+  std::uint64_t executed = 0;
+  std::uint64_t rounds = 0;
+};
+
+/// One client per Core: `left` sequential async applies on a shared ledger,
+/// each issued by the previous one's settle continuation, which runs on the
+/// client Core's locality (the only writer of the client's vectors).
+struct LoopClient {
+  sim::Scheduler* sched = nullptr;
+  core::ComletRef<OpLedger> ref;
+  std::int64_t next_op = 0;
+  int left = 0;
+  std::vector<SimTime> latency;
+  std::vector<std::int64_t> returned;
+
+  void Issue() {
+    if (left-- <= 0) return;
+    const SimTime t0 = sched->Now();
+    ref.InvokeAsync<std::int64_t>("apply", next_op++)
+        .OnSettle([this, t0](sim::Future<std::int64_t> f) {
+          latency.push_back(sched->Now() - t0);
+          returned.push_back(f.ok() ? f.value() : -1);
+          Issue();
+        });
+  }
+};
+
+/// An async closed loop under chaos reordering, drops and duplicates, one
+/// link flap, and seeded 2-20 ms links, pumped to `end` either by RunFor
+/// (`windows`) or by a never-true RunUntilOr (one timestamp per round).
+LoopRun RunClosedLoop(int localities, std::uint32_t seed, bool windows) {
+  RegisterTestComlets();
+  core::Runtime rt(core::RuntimeOptions{localities});
+  constexpr int kCores = 4;
+  std::vector<core::Core*> cores;
+  for (int i = 0; i < kCores; ++i)
+    cores.push_back(&rt.CreateCore("core" + std::to_string(i)));
+  std::mt19937 rng(seed);
+  for (int i = 0; i < kCores; ++i)
+    for (int j = i + 1; j < kCores; ++j)
+      rt.network().SetLink(
+          cores[static_cast<std::size_t>(i)]->id(),
+          cores[static_cast<std::size_t>(j)]->id(),
+          net::LinkModel{Millis(2 + static_cast<int>(rng() % 19)), 1e7, true});
+
+  core::RetryPolicy policy;
+  policy.max_attempts = 8;
+  policy.initial_backoff = Millis(20);
+  policy.seed = seed;
+  for (core::Core* c : cores) {
+    c->SetRpcTimeout(Millis(150));
+    c->SetRetryPolicy(policy);
+  }
+  net::FaultPlan plan;
+  plan.seed = seed;
+  plan.drop = 0.02;
+  plan.duplicate = 0.02;
+  plan.reorder = 0.2;
+  plan.reorder_jitter = Millis(10);
+  plan.flaps.push_back(net::FaultPlan::LinkFlap{cores[0]->id(),
+                                                cores[1]->id(), Millis(200),
+                                                Millis(350)});
+  rt.network().SetFaultPlan(plan);
+
+  auto ledger = cores[0]->New<OpLedger>();
+  std::vector<LoopClient> clients(kCores);
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    clients[i].sched = &rt.scheduler();
+    clients[i].ref = cores[i]->RefTo<OpLedger>(ledger.handle());
+    clients[i].next_op = static_cast<std::int64_t>(i) * 1000000;
+    clients[i].left = 150;
+  }
+  for (LoopClient& c : clients) c.Issue();
+
+  const SimTime end = Seconds(20);
+  if (windows) {
+    rt.RunFor(end);
+  } else {
+    rt.scheduler().RunUntilOr([] { return false; }, end);
+  }
+  EXPECT_EQ(rt.Now(), end);
+
+  LoopRun run;
+  for (const LoopClient& c : clients) {
+    EXPECT_EQ(c.latency.size(), 150u);
+    run.latency.push_back(c.latency);
+    run.returned.push_back(c.returned);
+  }
+  run.links = rt.network().AllLinkStats();
+  if (auto a = cores[0]->repository().Get(ledger.target())) {
+    const auto* anchor = static_cast<const OpLedger*>(a.get());
+    run.ledger_total = anchor->total();
+    run.ledger_dups = anchor->dups();
+  }
+  run.executed = rt.scheduler().executed();
+  rt.SyncSerialStats();
+  run.rounds = rt.metrics().CounterValue("locality.rounds");
+  return run;
+}
+
+TEST(ParallelEquivalenceTest, LookaheadWindowsChangeRoundsNotResults) {
+  for (int n : {2, 4}) {
+    for (std::uint32_t seed : {5u, 17u}) {
+      const LoopRun windows = RunClosedLoop(n, seed, true);
+      const LoopRun stepped = RunClosedLoop(n, seed, false);
+      const std::string where =
+          "N=" + std::to_string(n) + " seed " + std::to_string(seed);
+      EXPECT_EQ(windows.latency, stepped.latency) << where;
+      EXPECT_EQ(windows.returned, stepped.returned) << where;
+      EXPECT_EQ(windows.links, stepped.links) << where;
+      EXPECT_EQ(windows.ledger_total, stepped.ledger_total) << where;
+      EXPECT_EQ(windows.ledger_dups, 0) << where;
+      EXPECT_EQ(stepped.ledger_dups, 0) << where;
+      EXPECT_EQ(windows.executed, stepped.executed) << where;
+      EXPECT_LT(windows.rounds, stepped.rounds) << where;
+      EXPECT_GT(windows.ledger_total, 0) << where;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fargo::testing

@@ -123,5 +123,30 @@ TEST_F(NetworkTest, InFlightMessagesKeepTheirCost) {
   EXPECT_EQ(sched.Now(), Millis(10));
 }
 
+TEST_F(NetworkTest, MinLinkLatencyTracksLinksAndIgnoresLoopback) {
+  EXPECT_EQ(net.MinLinkLatency(), LinkModel{}.latency);  // the default link
+  net.SetLink(a, b, LinkModel{Millis(2), 1e6, true});
+  EXPECT_EQ(net.MinLinkLatency(), Millis(2));
+  net.SetLinkOneWay(b, c, LinkModel{Millis(1), 1e6, true});
+  EXPECT_EQ(net.MinLinkLatency(), Millis(1));
+  // Raising the only 1 ms link gives the minimum back to the next one.
+  net.SetLinkOneWay(b, c, LinkModel{Millis(9), 1e6, true});
+  EXPECT_EQ(net.MinLinkLatency(), Millis(2));
+  // A Core reaches itself for free whatever its entry says.
+  net.SetLink(a, a, LinkModel{0, 1e6, true});
+  EXPECT_EQ(net.MinLinkLatency(), Millis(2));
+  net.SetDefaultLink(LinkModel{Millis(1), 1e6, true});
+  EXPECT_EQ(net.MinLinkLatency(), Millis(1));
+  net.SetDefaultLink(LinkModel{Millis(30), 1e6, true});
+  EXPECT_EQ(net.MinLinkLatency(), Millis(2));
+  net.SetLink(a, b, LinkModel{Millis(40), 1e6, true});
+  EXPECT_EQ(net.MinLinkLatency(), Millis(9));
+  // Cutting a link keeps its latency.
+  net.SetPartitioned(b, c, true);
+  EXPECT_EQ(net.MinLinkLatency(), Millis(9));
+  EXPECT_EQ(net.GetLink(b, c).latency, Millis(9));
+  EXPECT_EQ(net.GetLink(c, b).latency, Millis(30));
+}
+
 }  // namespace
 }  // namespace fargo::net

@@ -12,6 +12,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -309,6 +310,195 @@ TEST(ParallelSchedulerTest, LocalityZeroIgnoresThePumpCallersAffinityScope) {
   }
   EXPECT_EQ(follow_up_on.load(), 0);
   EXPECT_EQ(sched.telemetry().handoffs, 0u);
+}
+
+// Lookahead windows: with a lookahead L installed, RunFor and RunUntilIdle
+// run one round per window [T, T + L - 1]; the predicate pumps run one
+// timestamp per round whatever L is.
+
+constexpr SimTime kLookahead = 100;
+SimTime Lookahead() { return kLookahead; }
+
+TEST(ParallelSchedulerTest, NowInsideAStepIsTheRunningTasksTime) {
+  ParallelScheduler sched(3);
+  sched.SetLookahead(Lookahead);
+  std::mutex mu;
+  std::vector<std::pair<SimTime, SimTime>> seen;  // (at, Now() inside)
+  auto check = [&](SimTime at) {
+    return [&, at] {
+      std::lock_guard<std::mutex> lock(mu);
+      seen.emplace_back(at, sched.Now());
+    };
+  };
+  for (SimTime at : {SimTime{10}, SimTime{37}, SimTime{55}, SimTime{99}})
+    for (std::uint64_t aff = 0; aff < 3; ++aff)
+      sched.Post(aff, at + static_cast<SimTime>(aff),
+                 check(at + static_cast<SimTime>(aff)));
+  // Local work scheduled inside the window runs in it, on the same clock.
+  sched.Post(1, 20, [&] { sched.ScheduleAfter(7, check(27)); });
+  sched.RunUntilIdle();
+  ASSERT_EQ(seen.size(), 13u);
+  for (const auto& [at, now] : seen) EXPECT_EQ(now, at);
+  EXPECT_EQ(sched.telemetry().rounds, 1u);  // everything fits [10, 109]
+  EXPECT_EQ(sched.Now(), 101);  // the latest time any locality ran
+}
+
+TEST(ParallelSchedulerTest, WindowIsClampedToTheRunForHorizon) {
+  ParallelScheduler sched(2);
+  sched.SetLookahead(Lookahead);
+  std::atomic<int> ran{0};
+  sched.Post(0, 10, [&] { ran.fetch_or(1); });
+  sched.Post(1, 40, [&] { ran.fetch_or(2); });
+  sched.Post(1, 60, [&] { ran.fetch_or(4); });
+  sched.RunFor(50);
+  EXPECT_EQ(ran.load(), 3);
+  EXPECT_EQ(sched.Now(), 50);
+  EXPECT_EQ(sched.telemetry().rounds, 1u);
+  sched.RunFor(50);
+  EXPECT_EQ(ran.load(), 7);
+  EXPECT_EQ(sched.Now(), 100);
+  EXPECT_EQ(sched.telemetry().rounds, 2u);
+}
+
+TEST(ParallelSchedulerTest, CrossLocalityWorkInsideTheWindowThrows) {
+  std::atomic<int> ran{0};
+  {
+    // Dated before the window's end [10, 109]: it would run late.
+    ParallelScheduler sched(2);
+    sched.SetLookahead(Lookahead);
+    sched.Post(0, 10, [&] {
+      sched.Post(1, sched.Now() + kLookahead - 1, [&] { ran.fetch_add(1); });
+    });
+    EXPECT_THROW(sched.RunUntilIdle(), FargoError);
+  }
+  {
+    // A cancel may chase a task its target already ran in this window.
+    ParallelScheduler sched(2);
+    sched.SetLookahead(Lookahead);
+    const TaskId victim = sched.Post(0, 500, [&] { ran.fetch_add(1); });
+    sched.Post(1, 10, [&sched, victim] { sched.Cancel(victim); });
+    EXPECT_THROW(sched.RunUntilIdle(), FargoError);
+  }
+  EXPECT_EQ(ran.load(), 0);
+  {
+    // One lookahead later is past the window: it rides into the next round.
+    ParallelScheduler sched(2);
+    sched.SetLookahead(Lookahead);
+    sched.Post(0, 10, [&] {
+      sched.Post(1, sched.Now() + kLookahead, [&] { ran.fetch_add(1); });
+    });
+    sched.RunUntilIdle();
+    EXPECT_EQ(ran.load(), 1);
+    EXPECT_EQ(sched.telemetry().rounds, 2u);
+  }
+  {
+    // A predicate pump's one-timestamp rounds take both.
+    ParallelScheduler sched(2);
+    sched.SetLookahead(Lookahead);
+    const TaskId victim = sched.Post(0, 500, [&] { ran.fetch_add(100); });
+    sched.Post(1, 10, [&sched, &ran, victim] {
+      sched.Cancel(victim);
+      sched.Post(0, sched.Now() + 1, [&] { ran.fetch_add(1); });
+    });
+    EXPECT_FALSE(sched.RunUntilOr([] { return false; }, 1000));
+    EXPECT_EQ(ran.load(), 2);
+  }
+}
+
+TEST(ParallelSchedulerTest, PredicatePumpsRunOneTimestampPerRound) {
+  // Three busy timestamps inside one lookahead window.
+  auto load = [](ParallelScheduler& s, std::atomic<int>& ran) {
+    s.SetLookahead(Lookahead);
+    for (SimTime at : {SimTime{10}, SimTime{20}, SimTime{30}})
+      for (std::uint64_t aff = 0; aff < 2; ++aff)
+        s.Post(aff, at, [&ran] { ran.fetch_add(1); });
+  };
+  {
+    ParallelScheduler s(2);
+    std::atomic<int> ran{0};
+    load(s, ran);
+    s.RunUntilIdle();
+    EXPECT_EQ(s.telemetry().rounds, 1u);
+    EXPECT_EQ(s.Now(), 30);
+  }
+  {
+    ParallelScheduler s(2);
+    std::atomic<int> ran{0};
+    load(s, ran);
+    EXPECT_FALSE(s.RunUntilOr([] { return false; }, 1000));
+    EXPECT_EQ(s.telemetry().rounds, 3u);
+    EXPECT_EQ(s.Now(), 1000);
+  }
+  {
+    ParallelScheduler s(2);
+    std::atomic<int> ran{0};
+    load(s, ran);
+    s.RunUntil([&] { return ran.load() == 4; });
+    EXPECT_EQ(s.telemetry().rounds, 2u);
+    EXPECT_EQ(s.Now(), 20);
+  }
+  {
+    ParallelScheduler s(2);
+    std::atomic<int> ran{0};
+    load(s, ran);
+    for (SimTime at : {SimTime{10}, SimTime{20}, SimTime{30}}) {
+      EXPECT_TRUE(s.RunOne());
+      EXPECT_EQ(s.Now(), at);
+    }
+    EXPECT_EQ(s.telemetry().rounds, 3u);
+    EXPECT_EQ(ran.load(), 6);
+  }
+}
+
+TEST(ParallelSchedulerTest, SameTimeLocalTaskAndHandoffRunInKeyOrder) {
+  // Locality 1 receives five tasks for t=200: handoffs from locality 0 and
+  // local tasks of its own, scheduled at 5, 10 and 50. They run by the
+  // producer clock at production, local before handoff at a tie — the
+  // order one-timestamp rounds insert them in — whether the window holds
+  // every producer (RunUntilIdle) or one timestamp (RunUntilOr).
+  auto run = [](bool windows) {
+    ParallelScheduler s(2);
+    s.SetLookahead(Lookahead);
+    std::vector<std::string> order;  // written by locality 1 only
+    auto log = [&order](const char* tag) {
+      return [&order, tag] { order.emplace_back(tag); };
+    };
+    s.Post(1, 50, [&] { s.ScheduleAt(200, log("local@50")); });
+    s.Post(1, 10, [&] { s.ScheduleAt(200, log("local@10")); });
+    s.Post(0, 50, [&] { s.Post(1, 200, log("handoff@50")); });
+    s.Post(0, 10, [&] { s.Post(1, 200, log("handoff@10")); });
+    s.Post(0, 5, [&] { s.Post(1, 200, log("handoff@5")); });
+    if (windows) {
+      s.RunUntilIdle();
+    } else {
+      s.RunUntilOr([] { return false; }, 1000);
+    }
+    return order;
+  };
+  const std::vector<std::string> want = {"handoff@5", "local@10",
+                                         "handoff@10", "local@50",
+                                         "handoff@50"};
+  EXPECT_EQ(run(true), want);
+  EXPECT_EQ(run(false), want);
+}
+
+TEST(ParallelSchedulerTest, SameClockRoundsOrderByProductionRound) {
+  // Locality 0 at t=10 hands locality 1 a task for t=50 and a same-time
+  // task that, in the next round at t=10, schedules a local task for t=50.
+  // The handoff entered locality 1's queue at the start of that round and
+  // the local task during it; the production round in the key keeps that
+  // order although both were made at t=10.
+  ParallelScheduler s(2);  // no lookahead: one-timestamp rounds
+  std::vector<std::string> order;  // written by locality 1 only
+  s.Post(0, 10, [&] {
+    s.Post(1, 50, [&] { order.emplace_back("handoff"); });
+    s.Post(1, s.Now(), [&] {
+      s.ScheduleAt(50, [&] { order.emplace_back("local"); });
+    });
+  });
+  s.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<std::string>{"handoff", "local"}));
+  EXPECT_EQ(s.telemetry().rounds, 3u);
 }
 
 }  // namespace
