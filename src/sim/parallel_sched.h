@@ -10,13 +10,14 @@
 //  - The *conductor* (whichever thread calls the Run* pumps — tests, shell,
 //    benches) picks the next due timestamp T and releases the workers for
 //    one barrier-synchronized *round* covering the window [T, E], running
-//    locality 0's share of it itself.
-//  - During a round each locality drains its own priority queue of events
-//    due by E, in time order, on its *own clock*: inside a step, Now() is
-//    the `at` of the running task, not a global time. A continuation
-//    targeting another Core's ownership domain is never run in place: the
-//    producing locality appends it to its own outbox for the owning
-//    locality, and the owner takes it at the start of the next round.
+//    locality 0's share of it itself. The five pumps are the Scheduler
+//    wrappers over this engine's `Advance`, which drives the rounds.
+//  - During a round each locality drains its own TaskQueue of events due
+//    by E, in key order, on its *own clock*: inside a step, Now() is the
+//    `at` of the running task, not a global time. A continuation targeting
+//    another Core's ownership domain is never run in place: the producing
+//    locality appends it to its own outbox for the owning locality, and the
+//    owner takes it at the start of the next round.
 //  - The window is the lookahead of conservative parallel simulation
 //    (Chandy–Misra): Cores affect each other only through messages on links
 //    whose latency is at least L, so nothing one locality sends at t ≥ T
@@ -27,32 +28,37 @@
 //    0 or 1 run one timestamp per round (E = T), so a pump that stops on a
 //    condition stops exactly where the one-timestamp engine does.
 //  - Inside a window wider than one timestamp, a cross-locality task dated
-//    at or before E, or any cross-locality cancel, throws FargoError (it
-//    surfaces at the pump) instead of running late. In a one-timestamp
-//    window such a handoff or cancel makes the round repeat at T; a handoff
-//    dated later rides in its outbox into whichever round comes next.
+//    at or before E throws FargoError (it surfaces at the pump) instead of
+//    running late. In a one-timestamp window such a handoff makes the round
+//    repeat at T; a handoff dated later rides in its outbox into whichever
+//    round comes next.
+//  - A task is cancelled only where it is queued: a task may cancel tasks
+//    of its own locality, and one that cancels a task of another locality
+//    throws FargoError, in any round. The conductor may cancel any task.
 //  - Between rounds Now() is the conductor's clock: the latest `at` any
 //    locality has run, or the RunFor horizon. No locality has run anything
 //    later, so work the conductor stages is never in a locality's past.
 //
-// Ownership rule: every producer — locality i during its round, or the
-// conductor while no round runs — appends tasks and cancels bound for
-// locality d to its own `outbox[round parity][d]`. Only that producer
-// writes it during the round; only locality d drains it, at the start of
-// the next round. The round barrier's mutex is the one synchronisation
-// point and the happens-before edge between the two.
+// Ownership rule: only localities use outboxes. Locality i appends what it
+// hands locality d during round r to its own `outbox[r & 1][d]`; only i
+// writes it during the round, and only d drains it, at the start of round
+// r + 1. The conductor is not a producer of outboxes: it runs only while
+// every worker is parked on the barrier, so it pushes into and cancels in
+// the destination's queue directly, and its cancel of a handoff still in
+// an outbox erases it there. The round barrier's mutex is the one
+// synchronisation point and the happens-before edge for both.
 //
-// Determinism: a locality runs tasks in the order of an explicit key, (at,
-// producer clock at production, production round at that clock, local
-// before handoff, producer rank — the conductor last — producer append
-// order). The key reproduces the insertion order of one-timestamp rounds
-// exactly and does not depend on where window boundaries fall, so a run is
-// a pure function of the workload: two runs with the same FARGO_PARALLEL=N
-// are identical, and windows change the round count, not the results.
-// (Sim and parallel interleave same-time events across *different* Cores
-// differently; what is mode-invariant is the observable behavior — ledger
-// contents, exactly-once, wire traffic per link — not internal event
-// order. See DESIGN.md §5.1.)
+// Determinism: a locality runs tasks in the order of an explicit key
+// (task_queue.h): at, producer clock at production, production round at
+// that clock, local before handoff, producer rank — the conductor last —
+// and producer append order. The key reproduces the insertion order of
+// one-timestamp rounds exactly and does not depend on where window
+// boundaries fall, so a run is a pure function of the workload: two runs
+// with the same FARGO_PARALLEL=N are identical, and windows change the
+// round count, not the results. (Sim and parallel interleave same-time
+// events across *different* Cores differently; what is mode-invariant is
+// the observable behavior — ledger contents, exactly-once, wire traffic per
+// link — not internal event order. See DESIGN.md §5.1.)
 //
 // Pumping is a conductor privilege: a task entering RunUntil & friends
 // throws FargoError (scheduler.h PumpGuard), on a worker and on the
@@ -87,12 +93,6 @@ class ParallelScheduler final : public Scheduler {
   TaskId Post(std::uint64_t affinity, SimTime t,
               std::function<void()> fn) override;
   void Cancel(TaskId id) override;
-  bool RunOne() override;
-  void RunUntilIdle() override;
-  void RunUntil(const std::function<bool()>& pred) override;
-  bool RunUntilOr(const std::function<bool()>& pred,
-                  SimTime deadline) override;
-  void RunFor(SimTime d) override;
   std::size_t PendingCount() const override;
   void Clear() override;
   std::uint64_t executed() const override;
@@ -124,7 +124,6 @@ class ParallelScheduler final : public Scheduler {
 
  private:
   struct Locality;  // defined in parallel_sched.cpp (owns the thread)
-  struct Producer;  // one producer's outboxes (see the ownership rule)
   struct Outbox;
 
   void EnsureStarted();
@@ -133,33 +132,24 @@ class ParallelScheduler final : public Scheduler {
   /// tasks due by the window's end, publish its next due time. Runs on the
   /// locality's thread (a worker, or the conductor for locality 0).
   void Step(int idx, std::uint64_t round);
-  /// Routes a task to locality `dest`: the calling locality's own queue,
-  /// or the calling producer's outbox for `dest`.
+  /// Routes a task to locality `dest`: from a locality, its own queue or
+  /// its outbox for `dest`; from the conductor, `dest`'s queue.
   TaskId Enqueue(int dest, SimTime t, std::function<void()> fn);
-  /// The calling producer's outbox for `dest` in the current round.
-  Outbox& OutboxFor(int dest);
-  /// The one advance loop behind every pump. Runs a round at each next due
-  /// time until `done` holds (checked before every round with
-  /// `between_rounds`, else once each timestamp is finished) or nothing
-  /// more is due by `horizon`. Without `done`, rounds cover lookahead
-  /// windows clamped to `horizon`; with one, a single timestamp. Running
-  /// out of events moves the clock to a finite `horizon`. Returns whether
-  /// `done` holds (false without one).
+  /// Runs a barrier round at each next due time. Without `done`, rounds
+  /// cover lookahead windows clamped to `horizon`; with one, a single
+  /// timestamp.
   bool Advance(const std::function<bool()>& done, bool between_rounds,
-               SimTime horizon);
+               SimTime horizon) override;
   /// Drives one barrier round over [now_, window_end_], running locality 0
   /// on the calling (conductor) thread, then moves the conductor's clock to
   /// the latest time any locality ran; rethrows a task's exception.
   void RunRound();
-  /// When the next round is due: Now() while any cancel is outboxed, else
-  /// the earliest time across the locality queues and the outboxes
-  /// (kNoDue when drained).
+  /// When the next round is due: the earliest time across the locality
+  /// queues and the outboxes (kNoDue when drained).
   SimTime NextDue() const;
 
   const int num_localities_;
   std::vector<std::unique_ptr<Locality>> locs_;
-  /// Localities by index, then the conductor (the last rank).
-  std::vector<std::unique_ptr<Producer>> producers_;
   std::function<SimTime()> lookahead_;
 
   // Written by the conductor while workers are parked; read-only during a
@@ -169,6 +159,7 @@ class ParallelScheduler final : public Scheduler {
   /// ordering key of work produced at now_ (0 for any later clock).
   std::uint32_t sub_ = 0;
   SimTime window_end_ = 0;  ///< the current round's last timestamp
+  std::uint64_t conductor_seq_ = 1;  ///< TaskId counter of conductor tasks
 
   // Barrier state lives behind an opaque impl so <thread> stays out of the
   // header (the determinism lint confines threading to src/sim/).

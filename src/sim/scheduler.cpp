@@ -1,6 +1,6 @@
 #include "src/sim/scheduler.h"
 
-#include <limits>
+#include <algorithm>
 
 #include "src/common/value.h"  // FargoError
 
@@ -29,88 +29,56 @@ Scheduler::PumpGuard::PumpGuard(Scheduler& s) : sched_(s) {
   if (sched_.pump_observer_) sched_.pump_observer_(sched_.pump_depth_);
 }
 
+bool Scheduler::RunOne() {
+  PumpGuard guard(*this);
+  // Stop after the first task (sim) or timestamp (locality engine) that
+  // executed something; a cancelled task does not count.
+  const std::uint64_t before = executed();
+  return Advance([&] { return executed() > before; }, false, kNoDue);
+}
+
+void Scheduler::RunUntilIdle() {
+  PumpGuard guard(*this);
+  Advance({}, false, kNoDue);
+}
+
+void Scheduler::RunUntil(const std::function<bool()>& pred) {
+  PumpGuard guard(*this);
+  if (!Advance(pred, true, kNoDue))
+    throw FargoError("scheduler drained while awaiting a condition "
+                     "(lost message or dead peer?)");
+}
+
+bool Scheduler::RunUntilOr(const std::function<bool()>& pred,
+                           SimTime deadline) {
+  PumpGuard guard(*this);
+  return Advance(pred, true, deadline);
+}
+
+void Scheduler::RunFor(SimTime d) {
+  PumpGuard guard(*this);
+  Advance({}, false, Now() + d);
+}
+
 TaskId SimScheduler::ScheduleAt(SimTime t, std::function<void()> fn) {
-  if (t < now_) t = now_;
-  TaskId id = next_id_++;
-  queue_.push(Entry{t, next_seq_++, id, std::move(fn)});
+  const TaskId id = MakeTaskId(0, 0, next_seq_++);
+  queue_.Push(Task{std::max(t, now_), 0, 0, id, std::move(fn)});
   return id;
 }
 
-bool SimScheduler::PopDue(SimTime limit, Entry& out) {
-  while (!queue_.empty()) {
-    if (queue_.top().at > limit) return false;
-    out = std::move(const_cast<Entry&>(queue_.top()));
-    queue_.pop();
-    if (auto it = cancelled_.find(out.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
+bool SimScheduler::Advance(const std::function<bool()>& done,
+                           bool /*between_rounds*/, SimTime horizon) {
+  for (;;) {
+    if (done && done()) return true;
+    Task task;
+    if (!queue_.PopDue(horizon, task)) {
+      if (horizon != kNoDue && horizon > now_) now_ = horizon;
+      return done && done();
     }
-    return true;
-  }
-  return false;
-}
-
-bool SimScheduler::RunOneLocked() {
-  Entry e;
-  if (!PopDue(std::numeric_limits<SimTime>::max(), e)) return false;
-  now_ = std::max(now_, e.at);
-  ++executed_;
-  e.fn();
-  return true;
-}
-
-bool SimScheduler::RunOne() {
-  PumpGuard guard(*this);
-  return RunOneLocked();
-}
-
-void SimScheduler::RunUntilIdle() {
-  PumpGuard guard(*this);
-  while (RunOneLocked()) {
-  }
-}
-
-void SimScheduler::Clear() {
-  queue_ = {};
-  cancelled_.clear();
-}
-
-void SimScheduler::RunUntil(const std::function<bool()>& pred) {
-  PumpGuard guard(*this);
-  while (!pred()) {
-    if (!RunOneLocked())
-      throw FargoError("scheduler drained while awaiting a condition "
-                       "(lost message or dead peer?)");
-  }
-}
-
-bool SimScheduler::RunUntilOr(const std::function<bool()>& pred,
-                              SimTime deadline) {
-  PumpGuard guard(*this);
-  while (!pred()) {
-    Entry e;
-    if (!PopDue(deadline, e)) {
-      // No more events before the deadline: advance to it and give up.
-      now_ = std::max(now_, deadline);
-      return pred();
-    }
-    now_ = std::max(now_, e.at);
+    now_ = task.at;
     ++executed_;
-    e.fn();
+    task.fn();
   }
-  return true;
-}
-
-void SimScheduler::RunFor(SimTime d) {
-  PumpGuard guard(*this);
-  const SimTime limit = now_ + d;
-  Entry e;
-  while (PopDue(limit, e)) {
-    now_ = std::max(now_, e.at);
-    ++executed_;
-    e.fn();
-  }
-  now_ = limit;
 }
 
 PeriodicTask::PeriodicTask(Scheduler& sched, SimTime interval,

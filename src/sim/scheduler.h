@@ -4,16 +4,21 @@
 // notification run on one of these. Virtual time only advances when events
 // are executed, so every test and benchmark is exactly reproducible.
 //
-// `Scheduler` is the engine interface; two implementations exist:
+// `Scheduler` is the engine interface; two implementations exist, and both
+// queue their tasks in one `TaskQueue` (task_queue.h):
 //
 //  - `SimScheduler` (this file): the single-threaded deterministic pump.
-//    Default for tests, benches and CI — one priority queue, FIFO seq
-//    tiebreak, bit-identical runs.
+//    Default for tests, benches and CI — one queue in (time, FIFO seq)
+//    order, bit-identical runs.
 //  - `ParallelScheduler` (parallel_sched.h): N localities — the conductor
 //    plus N−1 worker threads — in conservative rounds, each covering one
 //    lookahead window of virtual time, selected by `FARGO_PARALLEL=N`.
 //    Same virtual-time semantics, same observable results (DESIGN.md
 //    §localities), run-to-run deterministic for a fixed N.
+//
+// The five pumps (RunOne, RunUntilIdle, RunUntil, RunUntilOr, RunFor) are
+// defined once, here, over each engine's one virtual `Advance`. The sim
+// advances one task per round, the locality engine one barrier round.
 //
 // The asynchronous invocation pipeline (DESIGN.md §5) never pumps from
 // inside an event handler: RPC machinery is written as scheduled
@@ -27,16 +32,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
-#include <unordered_set>
-#include <vector>
 
 #include "src/common/time.h"
+#include "src/sim/task_queue.h"
 
 namespace fargo::sim {
-
-/// Handle used to cancel a scheduled task.
-using TaskId = std::uint64_t;
 
 namespace detail {
 /// -1 on the conductor/main thread; the locality index while a thread runs
@@ -93,29 +93,30 @@ class Scheduler {
   }
 
   /// Cancels a pending task; no-op if it already ran or was cancelled.
+  /// (Parallel engine: a task may cancel only a task of its own locality;
+  /// the conductor may cancel any.)
   virtual void Cancel(TaskId id) = 0;
 
   /// Executes the next due event, advancing the clock. Returns false when
   /// the queue is empty. (Parallel engine: executes the next *timestamp*,
   /// which may run many events across localities.)
-  virtual bool RunOne() = 0;
+  bool RunOne();
 
   /// Runs events until the queue drains. (Parallel engine: whole lookahead
   /// windows per round.)
-  virtual void RunUntilIdle() = 0;
+  void RunUntilIdle();
 
   /// Runs events until `pred()` holds; throws FargoError if the queue
   /// drains first (a lost reply would otherwise hang forever). Re-entrant.
-  virtual void RunUntil(const std::function<bool()>& pred) = 0;
+  void RunUntil(const std::function<bool()>& pred);
 
   /// Like RunUntil, but gives up at absolute time `deadline`. Returns true
   /// if the predicate held, false on timeout or drain. Re-entrant.
-  virtual bool RunUntilOr(const std::function<bool()>& pred,
-                          SimTime deadline) = 0;
+  bool RunUntilOr(const std::function<bool()>& pred, SimTime deadline);
 
   /// Runs all events due up to Now()+d, then advances the clock to it.
   /// (Parallel engine: lookahead windows, the last clamped to Now()+d.)
-  virtual void RunFor(SimTime d) = 0;
+  void RunFor(SimTime d);
 
   /// Number of pending (non-cancelled) events.
   virtual std::size_t PendingCount() const = 0;
@@ -209,6 +210,16 @@ class Scheduler {
   };
 
  protected:
+  /// The one advance loop behind every pump, run under its PumpGuard.
+  /// Runs rounds until `done` holds or nothing more is due by `horizon`;
+  /// running out of events moves the clock to a finite `horizon`. `done` is
+  /// checked before every round when `between_rounds`, else once each
+  /// timestamp is finished (the sim's rounds are single tasks, so it checks
+  /// before every task either way). Returns whether `done` holds (false
+  /// without one).
+  virtual bool Advance(const std::function<bool()>& done, bool between_rounds,
+                       SimTime horizon) = 0;
+
   /// RAII around every pump loop: bumps depth, notifies the observer, and
   /// rejects entry from inside a NoPumpScope or from a locality's task.
   // fargo: domain(sim)
@@ -228,8 +239,8 @@ class Scheduler {
   std::function<void(int)> pump_observer_;
 };
 
-/// The single-threaded deterministic pump: one priority queue ordered by
-/// (time, FIFO seq). The default engine for tests, benches and CI.
+/// The single-threaded deterministic pump: one TaskQueue in (time, FIFO
+/// seq) order. The default engine for tests, benches and CI.
 // fargo: domain(sim)
 class SimScheduler final : public Scheduler {
  public:
@@ -237,42 +248,19 @@ class SimScheduler final : public Scheduler {
 
   SimTime Now() const override { return now_; }
   TaskId ScheduleAt(SimTime t, std::function<void()> fn) override;
-  void Cancel(TaskId id) override { cancelled_.insert(id); }
-  bool RunOne() override;
-  void RunUntilIdle() override;
-  void RunUntil(const std::function<bool()>& pred) override;
-  bool RunUntilOr(const std::function<bool()>& pred,
-                  SimTime deadline) override;
-  void RunFor(SimTime d) override;
-  std::size_t PendingCount() const override {
-    return queue_.size() - cancelled_.size();
-  }
-  void Clear() override;
+  void Cancel(TaskId id) override { queue_.Cancel(id); }
+  std::size_t PendingCount() const override { return queue_.Pending(); }
+  void Clear() override { queue_.Clear(); }
   std::uint64_t executed() const override { return executed_; }
 
  private:
-  struct Entry {
-    SimTime at;
-    std::uint64_t seq;  // FIFO tiebreak for same-time events (determinism)
-    TaskId id;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  bool PopDue(SimTime limit, Entry& out);
-  bool RunOneLocked();  ///< RunOne body, called under an active PumpGuard
+  bool Advance(const std::function<bool()>& done, bool between_rounds,
+               SimTime horizon) override;
 
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  TaskId next_id_ = 1;
+  std::uint64_t next_seq_ = 1;  ///< FIFO seq, also the TaskId
   std::uint64_t executed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  std::unordered_set<TaskId> cancelled_;
+  TaskQueue queue_;
 };
 
 /// A self-rescheduling task; used by continuous profiling. Destroying or

@@ -88,10 +88,10 @@ TEST(HandoffTest, PingPongAcrossManyRoundsReusesTheOutboxes) {
   EXPECT_EQ(sched.telemetry().rounds, static_cast<std::uint64_t>(kHops));
 }
 
-// Round counts: a round repeats at a timestamp only while a handoff or a
-// cancel is due at it, so a hop dated later rides into the round that runs
-// it and a timestamp that hands nothing off takes exactly one round. (The
-// same-time ping-pong above takes one round per hop.)
+// Round counts: a round repeats at a timestamp only while a handoff is due
+// at it, so a hop dated later rides into the round that runs it and a
+// timestamp that hands nothing off takes exactly one round. (The same-time
+// ping-pong above takes one round per hop.)
 
 TEST(HandoffTest, FutureDatedPingPongTakesOneRoundPerHop) {
   constexpr int kHops = 40;
@@ -132,27 +132,27 @@ TEST(HandoffTest, TimestampWithoutHandoffsTakesOneRound) {
 }
 
 TEST(HandoffTest, CancelledFutureHandoffDoesNotDragTheClock) {
-  // Locality 0 hands a task dated 100 to locality 1, then cancels it from
-  // its own task at 50. Like the sim engine, the pump ends at the last
-  // live task, not at the cancelled one's time.
+  // Locality 0 hands a task dated 100 to locality 1 at t=1, and the pump
+  // stops at 50 with the handoff still in locality 0's outbox. The
+  // conductor cancels it there. Like the sim engine, the next pump ends at
+  // the last live task, not at the cancelled one's time.
   auto run = [](Scheduler& s) {
     auto ran = std::make_shared<std::atomic<int>>(0);
-    s.Post(0, 1, [&s, ran] {
-      const TaskId victim = s.Post(1, 100, [ran] { ran->fetch_add(100); });
-      s.Post(0, 50, [&s, ran, victim] {
-        ran->fetch_add(1);
-        s.Cancel(victim);
-      });
+    auto victim = std::make_shared<TaskId>(0);
+    s.Post(0, 1, [&s, ran, victim] {
+      *victim = s.Post(1, 100, [ran] { ran->fetch_add(1); });
     });
+    EXPECT_FALSE(s.RunUntilOr([] { return false; }, 50));
+    s.Cancel(*victim);
     s.RunUntilIdle();
+    EXPECT_EQ(s.PendingCount(), 0u);
     return std::make_pair(s.Now(), ran->load());
   };
   SimScheduler sim;
   ParallelScheduler par(2);
   const auto want = run(sim);
-  EXPECT_EQ(want, (std::pair<SimTime, int>{50, 1}));
+  EXPECT_EQ(want, (std::pair<SimTime, int>{50, 0}));
   EXPECT_EQ(run(par), want);
-  EXPECT_EQ(par.PendingCount(), 0u);
 }
 
 TEST(HandoffTest, ManySameRoundHandoffsArriveInMergeKeyOrder) {

@@ -151,35 +151,32 @@ TEST(ParallelSchedulerTest, TasksMayNotPump) {
   }
 }
 
-TEST(ParallelSchedulerTest, NoPumpScopeRejectsConductorPumps) {
-  ParallelScheduler sched(2);
-  Scheduler::NoPumpScope guard(sched);
-  EXPECT_THROW(sched.RunUntilIdle(), FargoError);
-}
-
 TEST(ParallelSchedulerTest, CancelStopsLocalAndCrossLocalityTasks) {
   ParallelScheduler sched(2);
   std::atomic<int> ran{0};
   auto bump = [&] { ran.fetch_add(1, std::memory_order_relaxed); };
-  // Conductor-staged tasks for both localities, one of each cancelled.
+  // Conductor-staged tasks for both localities, one of each cancelled: the
+  // conductor may cancel a task on any locality.
   TaskId keep0 = sched.Post(0, 10, bump);
   TaskId kill0 = sched.Post(0, 10, bump);
   TaskId keep1 = sched.Post(1, 10, bump);
   TaskId kill1 = sched.Post(1, 10, bump);
-  (void)keep0;
   (void)keep1;
   sched.Cancel(kill0);
   sched.Cancel(kill1);
-  // A worker cancelling a task it posted to the *other* locality: the
-  // cancellation must chase the handoff.
+  EXPECT_EQ(sched.PendingCount(), 2u);
+  // A task cancelling a task it posted to the *other* locality throws: a
+  // task is cancelled only where it is queued. The handoff stands.
   sched.ScheduleAt(5, [&] {
     TaskId cross = sched.Post(1, 10, bump);
     sched.Cancel(cross);
   });
+  EXPECT_THROW(sched.RunUntilIdle(), FargoError);
   sched.RunUntilIdle();
-  EXPECT_EQ(ran.load(), 2);
+  EXPECT_EQ(ran.load(), 3);
   // Cancelling an already-run id is a harmless no-op.
   sched.Cancel(keep0);
+  EXPECT_EQ(sched.PendingCount(), 0u);
 }
 
 TEST(ParallelSchedulerTest, ClearDiscardsQueuedWorkWithoutRunningIt) {
@@ -196,30 +193,6 @@ TEST(ParallelSchedulerTest, ClearDiscardsQueuedWorkWithoutRunningIt) {
   sched.ScheduleAt(200, [hits] { hits->fetch_add(10); });
   sched.RunUntilIdle();
   EXPECT_EQ(hits->load(), 10);
-}
-
-TEST(ParallelSchedulerTest, RunUntilOrStopsAtDeadlineOrPredicate) {
-  ParallelScheduler sched(2);
-  std::atomic<bool> flag{false};
-  sched.ScheduleAt(50, [&] { flag.store(true); });
-  sched.ScheduleAt(500, [] {});
-  EXPECT_TRUE(sched.RunUntilOr([&] { return flag.load(); }, 1000));
-  EXPECT_EQ(sched.Now(), 50);
-  flag.store(false);
-  EXPECT_FALSE(sched.RunUntilOr([&] { return flag.load(); }, 200));
-  EXPECT_EQ(sched.Now(), 200);
-  EXPECT_EQ(sched.PendingCount(), 1u);  // the 500 event still waits
-}
-
-TEST(ParallelSchedulerTest, RunForAdvancesTheClockPastAnEmptyQueue) {
-  ParallelScheduler sched(2);
-  std::atomic<int> ran{0};
-  sched.ScheduleAt(30, [&] { ran.fetch_add(1); });
-  sched.RunFor(100);
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_EQ(sched.Now(), 100);
-  sched.RunFor(50);
-  EXPECT_EQ(sched.Now(), 150);
 }
 
 TEST(ParallelSchedulerTest, ExceptionsFromTasksSurfaceAtThePump) {
@@ -372,7 +345,8 @@ TEST(ParallelSchedulerTest, CrossLocalityWorkInsideTheWindowThrows) {
     EXPECT_THROW(sched.RunUntilIdle(), FargoError);
   }
   {
-    // A cancel may chase a task its target already ran in this window.
+    // A task cancelling a task of another locality throws: the target runs
+    // on its own clock and may already have run in this window.
     ParallelScheduler sched(2);
     sched.SetLookahead(Lookahead);
     const TaskId victim = sched.Post(0, 500, [&] { ran.fetch_add(1); });
@@ -392,16 +366,18 @@ TEST(ParallelSchedulerTest, CrossLocalityWorkInsideTheWindowThrows) {
     EXPECT_EQ(sched.telemetry().rounds, 2u);
   }
   {
-    // A predicate pump's one-timestamp rounds take both.
+    // A predicate pump's one-timestamp rounds take the handoff, but a
+    // cross-locality cancel throws in any round.
     ParallelScheduler sched(2);
     sched.SetLookahead(Lookahead);
     const TaskId victim = sched.Post(0, 500, [&] { ran.fetch_add(100); });
     sched.Post(1, 10, [&sched, &ran, victim] {
-      sched.Cancel(victim);
       sched.Post(0, sched.Now() + 1, [&] { ran.fetch_add(1); });
+      sched.Cancel(victim);
     });
+    EXPECT_THROW(sched.RunUntilOr([] { return false; }, 1000), FargoError);
     EXPECT_FALSE(sched.RunUntilOr([] { return false; }, 1000));
-    EXPECT_EQ(ran.load(), 2);
+    EXPECT_EQ(ran.load(), 102);
   }
 }
 

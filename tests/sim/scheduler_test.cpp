@@ -1,93 +1,191 @@
+// The pump contract both engines share, run over SimScheduler and the
+// locality engine at one and three localities, then the cases that differ
+// by engine. Conductor-staged work without an affinity lands on locality 0,
+// which runs on this (the conductor) thread, so the tests need no locks.
 #include "src/sim/scheduler.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/common/value.h"
+#include "src/sim/parallel_sched.h"
 
 namespace fargo::sim {
 namespace {
 
-TEST(SchedulerTest, ExecutesInTimeOrder) {
-  SimScheduler s;
+/// 0 = SimScheduler, N = ParallelScheduler(N).
+class SchedulerContractTest : public ::testing::TestWithParam<int> {
+ protected:
+  SchedulerContractTest() {
+    if (GetParam() == 0) {
+      sched_ = std::make_unique<SimScheduler>();
+    } else {
+      sched_ = std::make_unique<ParallelScheduler>(GetParam());
+    }
+  }
+
+  Scheduler& s() { return *sched_; }
+
+ private:
+  std::unique_ptr<Scheduler> sched_;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, SchedulerContractTest, ::testing::Values(0, 1, 3),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return info.param == 0 ? std::string("Sim")
+                             : "Localities" + std::to_string(info.param);
+    });
+
+TEST_P(SchedulerContractTest, ExecutesInTimeOrder) {
   std::vector<int> order;
-  s.ScheduleAt(Millis(30), [&] { order.push_back(3); });
-  s.ScheduleAt(Millis(10), [&] { order.push_back(1); });
-  s.ScheduleAt(Millis(20), [&] { order.push_back(2); });
-  s.RunUntilIdle();
+  s().ScheduleAt(Millis(30), [&] { order.push_back(3); });
+  s().ScheduleAt(Millis(10), [&] { order.push_back(1); });
+  s().ScheduleAt(Millis(20), [&] { order.push_back(2); });
+  s().RunUntilIdle();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(s.Now(), Millis(30));
+  EXPECT_EQ(s().Now(), Millis(30));
 }
 
-TEST(SchedulerTest, SameTimeIsFifo) {
-  SimScheduler s;
+TEST_P(SchedulerContractTest, SameTimeIsFifoFromOneProducer) {
   std::vector<int> order;
   for (int i = 0; i < 10; ++i)
-    s.ScheduleAt(Millis(5), [&order, i] { order.push_back(i); });
-  s.RunUntilIdle();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    s().ScheduleAt(Millis(5), [&order, i] { order.push_back(i); });
+  // A task's own same-time follow-ups queue behind what is already there.
+  s().ScheduleAt(Millis(5), [&] {
+    for (int i = 10; i < 13; ++i)
+      s().ScheduleAt(Millis(5), [&order, i] { order.push_back(i); });
+  });
+  s().RunUntilIdle();
+  ASSERT_EQ(order.size(), 13u);
+  for (int i = 0; i < 13; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(SchedulerTest, PastTimesClampToNow) {
-  SimScheduler s;
-  s.ScheduleAt(Millis(10), [] {});
-  s.RunUntilIdle();
+TEST_P(SchedulerContractTest, PastTimesClampToNow) {
+  s().ScheduleAt(Millis(10), [] {});
+  s().RunUntilIdle();
   bool ran = false;
-  s.ScheduleAt(Millis(1), [&] { ran = true; });  // in the past
-  s.RunUntilIdle();
+  s().ScheduleAt(Millis(1), [&] { ran = true; });  // in the past
+  s().RunUntilIdle();
   EXPECT_TRUE(ran);
-  EXPECT_EQ(s.Now(), Millis(10));  // clock never goes backwards
+  EXPECT_EQ(s().Now(), Millis(10));  // clock never goes backwards
 }
 
-TEST(SchedulerTest, CancelPreventsExecution) {
-  SimScheduler s;
+TEST_P(SchedulerContractTest, CancelPreventsExecution) {
   bool ran = false;
-  TaskId id = s.ScheduleAfter(Millis(1), [&] { ran = true; });
-  s.Cancel(id);
-  s.RunUntilIdle();
+  bool kept = false;
+  TaskId id = s().ScheduleAfter(Millis(1), [&] { ran = true; });
+  s().ScheduleAfter(Millis(2), [&] { kept = true; });
+  s().Cancel(id);
+  EXPECT_EQ(s().PendingCount(), 1u);
+  s().RunUntilIdle();
   EXPECT_FALSE(ran);
+  EXPECT_TRUE(kept);
+  // A task cancels a same-locality task of its own.
+  bool late = false;
+  s().ScheduleAfter(Millis(1), [&] {
+    const TaskId victim = s().ScheduleAfter(Millis(5), [&] { late = true; });
+    s().Cancel(victim);
+  });
+  s().RunUntilIdle();
+  EXPECT_FALSE(late);
+  EXPECT_EQ(s().Now(), Millis(3));  // the cancelled time drags nothing
 }
 
-TEST(SchedulerTest, RunForAdvancesClockExactly) {
-  SimScheduler s;
+TEST_P(SchedulerContractTest, PendingCountIgnoresCancelsOfTasksThatRan) {
+  const TaskId ran = s().ScheduleAt(1, [] {});
+  s().RunUntilIdle();
+  s().Cancel(ran);  // already ran: a no-op
+  EXPECT_EQ(s().PendingCount(), 0u);
+  s().ScheduleAt(5, [] {});
+  EXPECT_EQ(s().PendingCount(), 1u);
+  s().RunUntilIdle();
+  EXPECT_EQ(s().PendingCount(), 0u);
+}
+
+TEST_P(SchedulerContractTest, RunForAdvancesClockExactly) {
   int count = 0;
-  s.ScheduleAt(Millis(5), [&] { ++count; });
-  s.ScheduleAt(Millis(15), [&] { ++count; });
-  s.RunFor(Millis(10));
+  s().ScheduleAt(Millis(5), [&] { ++count; });
+  s().ScheduleAt(Millis(15), [&] { ++count; });
+  s().RunFor(Millis(10));
   EXPECT_EQ(count, 1);
-  EXPECT_EQ(s.Now(), Millis(10));
-  s.RunFor(Millis(10));
+  EXPECT_EQ(s().Now(), Millis(10));
+  s().RunFor(Millis(10));
   EXPECT_EQ(count, 2);
-  EXPECT_EQ(s.Now(), Millis(20));
+  EXPECT_EQ(s().Now(), Millis(20));
+  s().RunFor(Millis(5));  // past an empty queue
+  EXPECT_EQ(s().Now(), Millis(25));
 }
 
-TEST(SchedulerTest, RunUntilThrowsOnDrain) {
-  SimScheduler s;
-  s.ScheduleAfter(Millis(1), [] {});
-  EXPECT_THROW(s.RunUntil([] { return false; }), FargoError);
+TEST_P(SchedulerContractTest, RunUntilThrowsOnDrain) {
+  s().ScheduleAfter(Millis(1), [] {});
+  EXPECT_THROW(s().RunUntil([] { return false; }), FargoError);
+  EXPECT_EQ(s().PumpDepth(), 0);
 }
 
-TEST(SchedulerTest, RunUntilOrTimesOut) {
-  SimScheduler s;
+TEST_P(SchedulerContractTest, RunUntilOrTimesOut) {
   int ticks = 0;
   // Self-rescheduling ticker keeps the queue non-empty.
   std::function<void()> tick = [&] {
     ++ticks;
-    s.ScheduleAfter(Millis(1), tick);
+    s().ScheduleAfter(Millis(1), tick);
   };
-  s.ScheduleAfter(Millis(1), tick);
-  bool ok = s.RunUntilOr([] { return false; }, Millis(50));
+  s().ScheduleAfter(Millis(1), tick);
+  bool ok = s().RunUntilOr([] { return false; }, Millis(50));
   EXPECT_FALSE(ok);
-  EXPECT_EQ(s.Now(), Millis(50));
+  EXPECT_EQ(s().Now(), Millis(50));
   EXPECT_GE(ticks, 49);
 }
 
-TEST(SchedulerTest, RunUntilOrStopsEarlyWhenPredicateHolds) {
-  SimScheduler s;
+TEST_P(SchedulerContractTest, RunUntilOrStopsAtDeadlineOrPredicate) {
   bool flag = false;
-  s.ScheduleAfter(Millis(3), [&] { flag = true; });
-  s.ScheduleAfter(Millis(100), [] {});
-  EXPECT_TRUE(s.RunUntilOr([&] { return flag; }, Millis(1000)));
-  EXPECT_EQ(s.Now(), Millis(3));
+  s().ScheduleAt(Millis(3), [&] { flag = true; });
+  s().ScheduleAt(Millis(100), [] {});
+  EXPECT_TRUE(s().RunUntilOr([&] { return flag; }, Millis(1000)));
+  EXPECT_EQ(s().Now(), Millis(3));
+  flag = false;
+  EXPECT_FALSE(s().RunUntilOr([&] { return flag; }, Millis(50)));
+  EXPECT_EQ(s().Now(), Millis(50));
+  EXPECT_EQ(s().PendingCount(), 1u);  // the 100 ms task still waits
+}
+
+TEST_P(SchedulerContractTest, ExecutedCounterCounts) {
+  for (int i = 0; i < 5; ++i) s().ScheduleAfter(Millis(1), [] {});
+  const TaskId gone = s().ScheduleAfter(Millis(1), [] {});
+  s().Cancel(gone);
+  s().RunUntilIdle();
+  EXPECT_EQ(s().executed(), 5u);
+}
+
+TEST_P(SchedulerContractTest, NoPumpScopeRejectsEveryPump) {
+  s().ScheduleAt(1, [] {});
+  Scheduler::NoPumpScope guard(s());
+  EXPECT_THROW(s().RunOne(), FargoError);
+  EXPECT_THROW(s().RunUntilIdle(), FargoError);
+  EXPECT_THROW(s().RunUntil([] { return true; }), FargoError);
+  EXPECT_THROW(s().RunUntilOr([] { return true; }, 10), FargoError);
+  EXPECT_THROW(s().RunFor(10), FargoError);
+  EXPECT_EQ(s().PumpDepth(), 0);
+  EXPECT_EQ(s().executed(), 0u);
+}
+
+// Sim-only behavior: RunOne runs one task (the locality engine runs one
+// timestamp, parallel_sched_test), and a task may pump.
+
+TEST(SchedulerTest, RunOneRunsOneTask) {
+  SimScheduler s;
+  int ran = 0;
+  s.ScheduleAt(Millis(5), [&] { ++ran; });
+  s.ScheduleAt(Millis(5), [&] { ++ran; });
+  EXPECT_TRUE(s.RunOne());
+  EXPECT_EQ(ran, 1);
+  EXPECT_TRUE(s.RunOne());
+  EXPECT_EQ(ran, 2);
+  EXPECT_FALSE(s.RunOne());
+  EXPECT_EQ(s.Now(), Millis(5));
 }
 
 TEST(SchedulerTest, NestedPumpingWorks) {
@@ -134,13 +232,6 @@ TEST(PeriodicTaskTest, DestroyFromOwnCallbackIsSafe) {
   });
   s.RunFor(Millis(100));
   EXPECT_EQ(fires, 1);
-}
-
-TEST(SchedulerTest, ExecutedCounterCounts) {
-  SimScheduler s;
-  for (int i = 0; i < 5; ++i) s.ScheduleAfter(Millis(1), [] {});
-  s.RunUntilIdle();
-  EXPECT_EQ(s.executed(), 5u);
 }
 
 }  // namespace
