@@ -20,7 +20,7 @@ void MoveOverheadTable(Report& report) {
   TableHeader({"scheme", "msgs per move", "move (sim ms)"});
   for (bool home : {false, true}) {
     World w(3);
-    w.rt.EnableHomeRegistry(home);
+    if (home) w.rt.EnableDirectory({});
     auto msg = w[1].New<Message>("m");  // home is core1
     w.rt.network().ResetStats();
     const SimTime t0 = w.rt.Now();
@@ -51,7 +51,7 @@ void StaleResolutionTable(Report& report) {
   for (bool home : {false, true}) {
     for (int n : {2, 8, 16}) {
       World w(n + 2);
-      w.rt.EnableHomeRegistry(home);
+      if (home) w.rt.EnableDirectory({});
       auto beta = w[0].New<Message>("beta");
       auto observer =
           w[static_cast<std::size_t>(n + 1)].RefTo<Message>(beta.handle());
@@ -92,7 +92,7 @@ void CrashSurvivalTable(Report& report) {
   TableHeader({"scheme", "outcome", "recovery (sim ms)"});
   for (bool home : {false, true}) {
     World w(4);
-    w.rt.EnableHomeRegistry(home);
+    if (home) w.rt.EnableDirectory({});
     auto beta = w[0].New<Message>("beta");
     w[0].Move(beta, w[1].id());
     auto observer = w[3].RefTo<Message>(beta.handle());

@@ -51,7 +51,7 @@ const bool kReg = serial::RegisterType<OrderBook>();
 int main() {
   (void)kReg;
   core::Runtime rt;
-  rt.EnableHomeRegistry(true);  // location-independent naming (§7)
+  rt.EnableDirectory({});  // location-independent naming (§7)
   core::Core& registry = rt.CreateCore("registry");  // clients + homes here
   core::Core& primary = rt.CreateCore("primary");
   core::Core& standby = rt.CreateCore("standby");

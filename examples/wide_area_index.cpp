@@ -160,7 +160,7 @@ const char* kShardData[] = {
 int main() {
   (void)kReg;
   core::Runtime rt;
-  rt.EnableHomeRegistry(true);
+  rt.EnableDirectory({});
   core::Core& hq = rt.CreateCore("hq");
   std::vector<core::Core*> sites;
   for (int i = 0; i < 3; ++i)

@@ -194,7 +194,7 @@ class Core {
 
   /// Abrupt failure (fault injection): detaches immediately — no event, no
   /// evacuation window, no forwarding flush. Chains through this Core are
-  /// severed; only the home registry (Runtime::EnableHomeRegistry) can
+  /// severed; only the directory plane (Runtime::EnableDirectory) can
   /// recover routes afterwards.
   void Crash();
 
@@ -352,14 +352,11 @@ class Core {
   bool AdmitOnce(const net::Message& msg);
 
   /// How long parked requests wait for an in-transit complet before being
-  /// failed with a transport error. 0 (default) means rpc_timeout()/2 —
-  /// shorter than any origin's patience, so a parked request can never
-  /// execute after its origin gave up and retried elsewhere (that would
-  /// break at-most-once; see docs/PROTOCOL.md "Failure semantics").
-  void SetParkExpiry(SimTime t) { park_expiry_ = t; }
-  SimTime park_expiry() const {
-    return park_expiry_ > 0 ? park_expiry_ : rpc_timeout_ / 2;
-  }
+  /// failed with a transport error: rpc_timeout()/2 — shorter than any
+  /// origin's patience, so a parked request can never execute after its
+  /// origin gave up and retried elsewhere (that would break at-most-once;
+  /// see docs/PROTOCOL.md "Failure semantics").
+  SimTime park_expiry() const { return rpc_timeout_ / 2; }
 
   // -- failure detection ------------------------------------------------------
 
@@ -527,7 +524,6 @@ class Core {
   std::uint64_t next_comlet_seq_ = 0;
   std::uint64_t next_correlation_ = 0;
   SimTime rpc_timeout_ = Seconds(30);
-  SimTime park_expiry_ = 0;  ///< 0 = derive from rpc_timeout_
   RetryPolicy retry_policy_;
   net::SessionPool sessions_;      ///< origin side: slot leases per peer
   net::ReplayDirectory replay_;    ///< executor side: per-slot reply cache

@@ -12,24 +12,13 @@
 
 namespace fargo::core {
 
-DirectoryMode Directory::mode() const {
-  return core_.runtime().directory_mode();
+bool Directory::enabled() const {
+  return core_.runtime().shard_map().installed();
 }
 
 CoreId Directory::OwnerOf(ComletId id) const {
-  switch (mode()) {
-    case DirectoryMode::kDisabled:
-      return CoreId{};
-    case DirectoryMode::kOrigin:
-      // The 1-shard-per-origin configuration: every complet's home shard is
-      // its origin Core — exactly the legacy home registry (§7).
-      return id.origin;
-    case DirectoryMode::kSharded: {
-      const ShardMap& map = core_.runtime().shard_map();
-      return map.valid() ? map.OwnerOf(id) : CoreId{};
-    }
-  }
-  return CoreId{};
+  const ShardMap& map = core_.runtime().shard_map();
+  return map.installed() ? map.OwnerOf(id) : CoreId{};
 }
 
 void Directory::Publish(ComletId id, CoreId location, std::uint64_t epoch) {

@@ -1,20 +1,20 @@
-// The directory plane: pluggable location resolution for complets
+// The directory plane: location resolution for complets
 // (docs/PROTOCOL.md §Directory).
 //
 // Every complet has one *home shard* — a Core that stores its last
 // published location under an epoch stamp. Hosts publish arrivals to the
 // shard (kDirectoryPublish); a Core that has lost the trail asks the shard
-// (kDirectoryLookup) and re-stamps its tracker from the reply. Shard
-// ownership is a versioned consistent-hash map (src/core/shard_map.h)
-// distributed as kDirectoryMap payloads.
+// (kDirectoryLookup) and re-stamps its tracker from the reply.
 //
-// Modes:
-//   kDisabled  no directory: tracker chains are the only routing state
-//              (severed chains stay severed — the paper's base system).
-//   kOrigin    one shard per origin Core: the legacy "home registry" of
-//              §7, expressed as the 1-shard-per-origin configuration.
-//   kSharded   consistent-hash ring over an explicit owner set
-//              (Runtime::EnableDirectory).
+// The plane is on exactly when the Runtime has a shard map installed
+// (Runtime::EnableDirectory), and ShardMap::OwnerOf is its one placement
+// function (src/core/shard_map.h):
+//   ring    a versioned consistent-hash ring over an explicit owner set,
+//           distributed as kDirectoryMap payloads;
+//   origin  no owners: every complet's home shard is its origin Core, the
+//           "home registry" of §7 (EnableDirectory({})).
+// With no map, tracker chains are the only routing state (severed chains
+// stay severed — the paper's base system).
 #pragma once
 
 #include <cstdint>
@@ -30,8 +30,6 @@ namespace fargo::core {
 
 class Core;
 
-enum class DirectoryMode { kDisabled, kOrigin, kSharded };
-
 /// One shard-side location record.
 struct DirEntry {
   CoreId location;
@@ -44,8 +42,8 @@ class Directory {
  public:
   explicit Directory(Core& core) : core_(core) {}
 
-  DirectoryMode mode() const;
-  bool enabled() const { return mode() != DirectoryMode::kDisabled; }
+  /// True when a shard map is installed.
+  bool enabled() const;
 
   /// Core owning `id`'s home shard; invalid when the plane is disabled.
   CoreId OwnerOf(ComletId id) const;

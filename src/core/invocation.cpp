@@ -55,15 +55,15 @@ sim::Future<InvokeResult> InvocationUnit::InvokeAsync(
     std::vector<Value> args) {
   sim::Scheduler::AffinityScope aff(core_.id().value);
   const std::string m(method);
-  // Without the home registry the fallback below could never produce a
-  // better route (the directory lookup answers "unknown"), so don't pay for
-  // it: the arguments move straight into the call record instead of being
-  // cloned into a rescue lambda on every invocation.
-  if (!core_.runtime().home_registry_enabled())
+  // Without the directory the fallback below could never produce a better
+  // route (the lookup answers "unknown"), so don't pay for it: the
+  // arguments move straight into the call record instead of being cloned
+  // into a rescue lambda on every invocation.
+  if (!core_.directory().enabled())
     return StartCall(handle, m, std::move(args));
   sim::Future<InvokeResult> first = StartCall(handle, m, args);
-  // Home-registry fallback (§7 future work): on a severed chain, ask the
-  // target's home Core for a fresh route and retry once — safe because
+  // Home-shard fallback (§7 future work): on a severed chain, ask the
+  // target's home shard for a fresh route and retry once — safe because
   // UnreachableError means the request never executed.
   return first.OrElse(
       // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
@@ -488,13 +488,12 @@ void InvocationUnit::RouteRequest(wire::InvokeRequest rq, net::Message msg,
     return;
   }
 
-  // Bounded-hop routing (sharded directory only — the origin configuration
-  // keeps the paper's chain walk): chaining is allowed only on knowledge
-  // strictly fresher than the stamp that already routed the request here.
-  // Otherwise the chain could be walked end to end; one shard lookup
-  // replaces that walk, so steady-state delivery is at most two hops.
-  if (core_.runtime().directory_mode() == DirectoryMode::kSharded &&
-      allow_lookup) {
+  // Bounded-hop routing (whenever the directory is on): chaining is allowed
+  // only on knowledge strictly fresher than the stamp that already routed
+  // the request here. Otherwise the chain could be walked end to end; one
+  // shard lookup replaces that walk, so steady-state delivery is at most
+  // two hops.
+  if (allow_lookup && core_.directory().enabled()) {
     if (entry.hint_epoch > rq.hint_epoch) {
       core_.inst_.dir_hint_hit->Inc();
     } else {

@@ -1,6 +1,5 @@
 #include "src/core/persistence.h"
 
-#include <cstdio>
 #include <memory>
 
 #include "src/common/log.h"
@@ -123,28 +122,6 @@ RestoreResult LoadCoreImage(Core& core,
     core.naming().Bind(std::move(name), std::move(handle));
   }
   return result;
-}
-
-void SaveCoreImageToFile(Core& core, const std::string& path) {
-  std::vector<std::uint8_t> image = SaveCoreImage(core);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) throw FargoError("cannot open for writing: " + path);
-  const std::size_t written = std::fwrite(image.data(), 1, image.size(), f);
-  std::fclose(f);
-  if (written != image.size())
-    throw FargoError("short write to checkpoint file: " + path);
-}
-
-RestoreResult LoadCoreImageFromFile(Core& core, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) throw FargoError("cannot open checkpoint: " + path);
-  std::vector<std::uint8_t> image;
-  std::uint8_t buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-    image.insert(image.end(), buf, buf + n);
-  std::fclose(f);
-  return LoadCoreImage(core, image);
 }
 
 }  // namespace fargo::core

@@ -1,17 +1,18 @@
-// Complet persistence (§7 future work): checkpointing the complets hosted
-// at a Core into a byte image and restoring them later — possibly at a
-// different Core (crash recovery, cold migration).
+// Complet persistence (§7 future work): the one image codec for the
+// complets hosted at a Core. A byte image can be restored later — possibly
+// at a different Core (crash recovery, cold migration). The WAL stores its
+// checkpoints in this format (src/core/wal.h); the simulator itself never
+// writes host files.
 //
 // The image preserves complet identities, closures (with aliasing), the
 // relocation semantics of every outgoing reference (with best routing
 // hints), and the Core's name bindings. Restoring installs the complets
 // like arrivals: trackers go local, completArrived fires, parked requests
-// drain, and — with the home registry enabled — the homes learn the new
+// drain, and — with the directory plane on — the home shards learn the new
 // location, so stale references recover.
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -43,9 +44,5 @@ std::vector<std::uint8_t> SaveCoreImage(Core& core);
 /// Restores an image into `core`; already-hosted ids are reported (and
 /// announced) in `skipped` rather than overwritten.
 RestoreResult LoadCoreImage(Core& core, const std::vector<std::uint8_t>& image);
-
-/// File convenience wrappers. Throw FargoError on I/O failure.
-void SaveCoreImageToFile(Core& core, const std::string& path);
-RestoreResult LoadCoreImageFromFile(Core& core, const std::string& path);
 
 }  // namespace fargo::core

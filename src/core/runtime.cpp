@@ -87,16 +87,13 @@ Runtime::~Runtime() {
 
 void Runtime::EnableDirectory(std::vector<CoreId> owners,
                               std::uint32_t vnodes) {
-  if (owners.empty()) throw FargoError("EnableDirectory: empty owner set");
   if (vnodes == 0) throw FargoError("EnableDirectory: vnodes must be > 0");
   shard_map_ = MakeShardMap(shard_map_.version + 1, std::move(owners), vnodes);
-  directory_mode_ = DirectoryMode::kSharded;
 }
 
 bool Runtime::AdoptShardMap(const ShardMap& map) {
   if (!map.valid() || map.version <= shard_map_.version) return false;
   shard_map_ = map;
-  directory_mode_ = DirectoryMode::kSharded;
   return true;
 }
 

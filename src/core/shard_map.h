@@ -31,18 +31,24 @@ inline std::uint64_t RingHash(ComletId id) {
   return MixU64(MixU64(id.origin.value) ^ id.seq);
 }
 
-/// Consistent-hash ring over N home shards. Each shard index owns
-/// `vnodes` points on a 64-bit ring; a complet belongs to the first
-/// point clockwise from its own hash. Points are derived from the shard
-/// *index*, not the owner identity, so replacing a crashed owner Core
-/// re-homes nothing else.
+/// The directory's one placement function. With owners, a consistent-hash
+/// ring over N home shards: each shard index owns `vnodes` points on a
+/// 64-bit ring and a complet belongs to the first point clockwise from its
+/// own hash. Points are derived from the shard *index*, not the owner
+/// identity, so replacing a crashed owner Core re-homes nothing else.
+/// Without owners, every complet's home shard is its origin Core: the
+/// paper's §7 home registry.
 // fargo: domain(core)
 struct ShardMap {
   std::uint64_t version = 0;   ///< 0 = no map installed (plane disabled)
-  std::vector<CoreId> owners;  ///< shard index -> owning Core
+  std::vector<CoreId> owners;  ///< shard index -> owning Core; empty = origin
   std::uint32_t vnodes = 16;   ///< ring points per shard
 
-  bool valid() const { return version != 0 && !owners.empty(); }
+  /// The directory is on exactly when a map is installed.
+  bool installed() const { return version != 0; }
+  /// A ring map: the only kind a kDirectoryMap broadcast carries or a
+  /// receiver adopts. The origin placement needs no distribution.
+  bool valid() const { return installed() && !owners.empty(); }
   std::size_t shard_count() const { return owners.size(); }
 
   /// Rebuilds the sorted ring from (owners.size(), vnodes). Must be
@@ -70,7 +76,9 @@ struct ShardMap {
   }
 
   /// Core owning `id`'s home shard.
-  CoreId OwnerOf(ComletId id) const { return owners[ShardOf(id)]; }
+  CoreId OwnerOf(ComletId id) const {
+    return owners.empty() ? id.origin : owners[ShardOf(id)];
+  }
 
   friend bool operator==(const ShardMap& a, const ShardMap& b) {
     return a.version == b.version && a.owners == b.owners &&

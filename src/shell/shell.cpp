@@ -364,23 +364,20 @@ void Shell::CmdGc(const std::vector<std::string>& args) {
 }
 
 void Shell::CmdDir() {
-  const core::DirectoryMode mode = runtime_.directory_mode();
-  const char* mode_name = mode == core::DirectoryMode::kSharded ? "sharded"
-                          : mode == core::DirectoryMode::kOrigin
-                              ? "origin"
-                              : "disabled";
-  out_ << "mode=" << mode_name;
-  if (mode == core::DirectoryMode::kSharded) {
-    const core::ShardMap& map = runtime_.shard_map();
-    out_ << " map_version=" << map.version << " shards=" << map.shard_count()
-         << " vnodes=" << map.vnodes;
-  }
-  out_ << "\n";
-  if (mode != core::DirectoryMode::kDisabled) {
+  const core::ShardMap& map = runtime_.shard_map();
+  const bool ring = !map.owners.empty();
+  if (!map.installed()) {
+    out_ << "placement=none\n";
+  } else {
+    out_ << "placement=" << (ring ? "ring" : "origin")
+         << " map_version=" << map.version;
+    if (ring)
+      out_ << " shards=" << map.shard_count() << " vnodes=" << map.vnodes;
+    out_ << "\n";
     for (core::Core* c : runtime_.Cores()) {
       if (!c->alive()) continue;
       const std::size_t entries = c->directory().store().size();
-      if (mode == core::DirectoryMode::kSharded || entries > 0)
+      if (ring || entries > 0)
         out_ << "  shard @" << c->name() << ": entries=" << entries << "\n";
     }
   }

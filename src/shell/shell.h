@@ -18,7 +18,7 @@
 //   profile <service> ...         — instant profiling readout
 //   invoke <comlet> <method> [args...]
 //   gc [<core>]                   — collect unreferenced trackers
-//   dir                           — directory plane: mode, shard map
+//   dir                           — directory plane: placement, shard map
 //                                   version/owners, per-shard entry counts,
 //                                   hint hit/miss/stale counters
 //   link <coreA> <coreB> <lat_ms> <mbit>   — reshape a network link

@@ -100,10 +100,8 @@ TEST_F(DirectoryTest, AdoptShardMapIsHigherVersionWins) {
   EXPECT_EQ(rt.shard_map().shard_count(), 2u);
 }
 
-TEST_F(DirectoryTest, BroadcastMapReachesEveryPeer) {
-  auto cores = MakeCores(4);
-  rt.EnableDirectory({cores[0]->id()});
-  std::uint64_t maps = 0;
+// Counts kDirectoryMap messages on the wire, loose or inside a batch frame.
+void CountMaps(core::Runtime& rt, std::uint64_t& maps) {
   rt.network().SetTap([&maps](const net::Message& m) {
     if (m.kind == net::MessageKind::kDirectoryMap) {
       ++maps;
@@ -117,46 +115,55 @@ TEST_F(DirectoryTest, BroadcastMapReachesEveryPeer) {
         ++maps;
     }
   });
+}
+
+TEST_F(DirectoryTest, BroadcastMapReachesEveryPeer) {
+  auto cores = MakeCores(4);
+  rt.EnableDirectory({cores[0]->id()});
+  std::uint64_t maps = 0;
+  CountMaps(rt, maps);
   cores[0]->directory().BroadcastMap();
   rt.RunUntilIdle();
   EXPECT_EQ(maps, 3u);  // every peer got a copy; HandleMap decoded it
 }
 
-TEST_F(DirectoryTest, OriginModeIsTheLegacyHomeRegistry) {
+TEST_F(DirectoryTest, OriginPlacementIsTheLegacyHomeRegistry) {
   auto cores = MakeCores(2);
-  rt.EnableHomeRegistry(true);
-  EXPECT_EQ(rt.directory_mode(), core::DirectoryMode::kOrigin);
   auto msg = cores[1]->New<Message>("m");
-  // 1-shard-per-origin: the home shard of a complet IS its origin Core.
-  EXPECT_EQ(cores[0]->directory().OwnerOf(msg.target()), cores[1]->id());
-  rt.EnableHomeRegistry(false);
-  EXPECT_EQ(rt.directory_mode(), core::DirectoryMode::kDisabled);
+  // No map installed: the plane is off and nothing owns the complet.
+  EXPECT_FALSE(cores[0]->directory().enabled());
   EXPECT_FALSE(cores[0]->directory().OwnerOf(msg.target()).valid());
+  rt.EnableDirectory({});
+  EXPECT_TRUE(cores[0]->directory().enabled());
+  // Owner-less map: the home shard of a complet IS its origin Core.
+  EXPECT_EQ(cores[0]->directory().OwnerOf(msg.target()), cores[1]->id());
 }
 
-TEST_F(DirectoryTest, InstallAndMovementPublishEpochStampedLocations) {
-  auto cores = MakeCores(4);
-  rt.EnableDirectory({cores[0]->id()});  // single shard: core0 owns all
-  auto msg = cores[1]->New<Message>("m");
-  rt.RunUntilIdle();
-  const auto& store = cores[0]->directory().store();
-  auto it = store.find(msg.target());
-  ASSERT_NE(it, store.end());
-  EXPECT_EQ(it->second.location, cores[1]->id());
-  EXPECT_EQ(it->second.epoch, 1u);  // fresh install mints epoch 1
+TEST_F(DirectoryTest, OwnerlessMapsNeverTravelTheWire) {
+  auto cores = MakeCores(3);
+  std::uint64_t maps = 0;
+  CountMaps(rt, maps);
 
-  cores[1]->MoveId(msg.target(), cores[2]->id());
+  // Origin placement needs no distribution: nothing is broadcast.
+  rt.EnableDirectory({});
+  cores[0]->directory().BroadcastMap();
   rt.RunUntilIdle();
-  it = store.find(msg.target());
-  ASSERT_NE(it, store.end());
-  EXPECT_EQ(it->second.location, cores[2]->id());
-  EXPECT_EQ(it->second.epoch, 2u);  // each movement bumps the stamp
+  EXPECT_EQ(maps, 0u);
 
-  cores[2]->MoveId(msg.target(), cores[3]->id());
+  // A received owner-less map is rejected however new its version.
+  rt.EnableDirectory({cores[0]->id()});
+  const core::ShardMap before = rt.shard_map();
+  serial::Writer w;
+  core::WriteShardMap(w, core::MakeShardMap(before.version + 5, {}));
+  net::Message msg;
+  msg.from = cores[1]->id();
+  msg.to = cores[2]->id();
+  msg.kind = net::MessageKind::kDirectoryMap;
+  msg.payload = w.Take();
+  rt.network().Send(msg);
   rt.RunUntilIdle();
-  it = store.find(msg.target());
-  EXPECT_EQ(it->second.location, cores[3]->id());
-  EXPECT_EQ(it->second.epoch, 3u);
+  EXPECT_EQ(maps, 1u);  // it was delivered...
+  EXPECT_EQ(rt.shard_map(), before);  // ...and not adopted
 }
 
 TEST_F(DirectoryTest, ShardMergeRejectsStaleStamps) {
@@ -247,9 +254,54 @@ TEST_F(DirectoryTest, GcOfHintedForwardsFallsBackToTheShard) {
   EXPECT_LE(steady.hops, 2);
 }
 
-TEST_F(DirectoryTest, StaleObserverPaysBoundedHopsAfterChurn) {
+// The placement-neutral behaviour of the one routing rule, run under both
+// placements: a one-shard ring on core0, and origin placement (no owners).
+class DirectoryPlacementTest : public FargoTest,
+                               public ::testing::WithParamInterface<bool> {
+ protected:
+  void EnablePlacement(const std::vector<core::Core*>& cores) {
+    if (GetParam())
+      rt.EnableDirectory({cores[0]->id()});
+    else
+      rt.EnableDirectory({});
+  }
+  /// The shard store that owns `id` under the installed placement.
+  const std::map<ComletId, core::DirEntry>& HomeStore(core::Core& any,
+                                                      ComletId id) {
+    core::Core* owner = rt.Find(any.directory().OwnerOf(id));
+    EXPECT_NE(owner, nullptr);
+    return owner->directory().store();
+  }
+};
+
+TEST_P(DirectoryPlacementTest, InstallAndMovementPublishEpochStampedLocations) {
+  auto cores = MakeCores(4);
+  EnablePlacement(cores);
+  auto msg = cores[1]->New<Message>("m");
+  rt.RunUntilIdle();
+  const auto& store = HomeStore(*cores[3], msg.target());
+  auto it = store.find(msg.target());
+  ASSERT_NE(it, store.end());
+  EXPECT_EQ(it->second.location, cores[1]->id());
+  EXPECT_EQ(it->second.epoch, 1u);  // fresh install mints epoch 1
+
+  cores[1]->MoveId(msg.target(), cores[2]->id());
+  rt.RunUntilIdle();
+  it = store.find(msg.target());
+  ASSERT_NE(it, store.end());
+  EXPECT_EQ(it->second.location, cores[2]->id());
+  EXPECT_EQ(it->second.epoch, 2u);  // each movement bumps the stamp
+
+  cores[2]->MoveId(msg.target(), cores[3]->id());
+  rt.RunUntilIdle();
+  it = store.find(msg.target());
+  EXPECT_EQ(it->second.location, cores[3]->id());
+  EXPECT_EQ(it->second.epoch, 3u);
+}
+
+TEST_P(DirectoryPlacementTest, StaleObserverPaysBoundedHopsAfterChurn) {
   auto cores = MakeCores(6);
-  rt.EnableDirectory({cores[0]->id()});
+  EnablePlacement(cores);
   for (core::Core* c : cores) c->SetRpcTimeout(Millis(200));
 
   auto beta = cores[1]->New<Message>("beta");
@@ -263,7 +315,10 @@ TEST_F(DirectoryTest, StaleObserverPaysBoundedHopsAfterChurn) {
   // First resolve may walk the (monotonically stamped) chain; the piggy-
   // backed reply hint then collapses the route.
   const std::uint64_t lookups_before = rt.metrics().CounterValue("dir.lookups");
+  const std::uint64_t hits_before = rt.metrics().CounterValue("dir.hint.hit");
   EXPECT_EQ(observer.Invoke<std::string>("text"), "beta");
+  // Every hop of the walk chained on a strictly fresher stamp.
+  EXPECT_GT(rt.metrics().CounterValue("dir.hint.hit"), hits_before);
   core::InvokeResult steady =
       cores[5]->invocation().Invoke(observer.handle(), "text", {});
   EXPECT_EQ(steady.location, cores[4]->id());
@@ -271,6 +326,12 @@ TEST_F(DirectoryTest, StaleObserverPaysBoundedHopsAfterChurn) {
   // An intact chain needs no directory traffic at all.
   EXPECT_EQ(rt.metrics().CounterValue("dir.lookups"), lookups_before);
 }
+
+INSTANTIATE_TEST_SUITE_P(Placements, DirectoryPlacementTest,
+                         ::testing::Values(true, false),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Ring" : "Origin";
+                         });
 
 // ---------------------------------------------------------------------------
 // Chaos: shard owners crash mid-publish. The plane must degrade to

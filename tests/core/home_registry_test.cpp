@@ -1,7 +1,8 @@
 // The location-independent naming scheme (§7 future work, implemented as
-// an extension): each complet's origin Core doubles as its home registry;
-// severed tracker chains recover by consulting the home. Also covers the
-// Crash() fault-injection primitive.
+// an extension): the directory plane with origin placement, where each
+// complet's origin Core doubles as its home registry; severed tracker
+// chains recover by consulting the home. Also covers the Crash()
+// fault-injection primitive.
 #include <gtest/gtest.h>
 
 #include "tests/support/fixture.h"
@@ -11,8 +12,11 @@ namespace {
 
 class HomeRegistryTest : public FargoTest {
  protected:
-  HomeRegistryTest() { rt.EnableHomeRegistry(true); }
+  HomeRegistryTest() { rt.EnableDirectory({}); }
 };
+
+// The control group: the directory plane is never enabled.
+class NoDirectoryTest : public FargoTest {};
 
 // Asks `from`'s directory endpoint for `id`'s home-shard record.
 core::wire::DirectoryHint Lookup(core::Core& from, ComletId id) {
@@ -36,8 +40,7 @@ TEST_F(HomeRegistryTest, UnknownCompletHasNoLocation) {
   EXPECT_FALSE(Lookup(*cores[1], ComletId{cores[0]->id(), 999}).found);
 }
 
-TEST_F(HomeRegistryTest, DisabledRegistryAnswersNothing) {
-  rt.EnableHomeRegistry(false);
+TEST_F(NoDirectoryTest, DisabledRegistryAnswersNothing) {
   auto cores = MakeCores(2);
   auto msg = cores[0]->New<Message>("m");
   EXPECT_FALSE(Lookup(*cores[1], msg.target()).found);
@@ -66,8 +69,7 @@ TEST_F(HomeRegistryTest, InvocationSurvivesACrashedChainHop) {
   EXPECT_EQ(t->next, cores[2]->id());
 }
 
-TEST_F(HomeRegistryTest, WithoutRegistryACrashSeversChains) {
-  rt.EnableHomeRegistry(false);
+TEST_F(NoDirectoryTest, WithoutRegistryACrashSeversChains) {
   auto cores = MakeCores(4);
   auto beta = cores[0]->New<Message>("beta");
   cores[0]->Move(beta, cores[1]->id());

@@ -3,17 +3,13 @@
 // re-routes surviving references.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "tests/support/fixture.h"
 
 namespace fargo::testing {
 namespace {
 
 using core::LoadCoreImage;
-using core::LoadCoreImageFromFile;
 using core::SaveCoreImage;
-using core::SaveCoreImageToFile;
 
 class PersistenceTest : public FargoTest {};
 
@@ -77,25 +73,6 @@ TEST_F(PersistenceTest, ReferencesKeepRelocatorsAcrossRestore) {
             static_cast<std::int64_t>(cores[1]->id().value));
 }
 
-TEST_F(PersistenceTest, FileRoundTrip) {
-  auto cores = MakeCores(2);
-  auto msg = cores[0]->New<Message>("on disk");
-  const std::string path = ::testing::TempDir() + "fargo_checkpoint.bin";
-  SaveCoreImageToFile(*cores[0], path);
-  auto restored = LoadCoreImageFromFile(*cores[1], path);
-  EXPECT_EQ(restored.restored.size(), 1u);
-  auto ref = cores[1]->RefFromHandle(
-      ComletHandle{msg.target(), cores[1]->id(), "test.Message"});
-  EXPECT_EQ(ref.Call("text").AsString(), "on disk");
-  std::remove(path.c_str());
-}
-
-TEST_F(PersistenceTest, MissingFileThrows) {
-  auto cores = MakeCores(1);
-  EXPECT_THROW(LoadCoreImageFromFile(*cores[0], "/nonexistent/nope.bin"),
-               FargoError);
-}
-
 TEST_F(PersistenceTest, CorruptImageIsRejected) {
   auto cores = MakeCores(1);
   cores[0]->New<Counter>();
@@ -110,7 +87,7 @@ TEST_F(PersistenceTest, CorruptImageIsRejected) {
 TEST_F(PersistenceTest, CrashRecoveryWithHomeRegistryHealsReferences) {
   // The full recovery story: checkpoint, crash, restore elsewhere; a
   // remote client's stale reference heals through the home registry.
-  rt.EnableHomeRegistry(true);
+  rt.EnableDirectory({});
   auto cores = MakeCores(3);
   auto counter = cores[1]->New<Counter>();
   counter.Call("increment", {Value(7)});
@@ -137,7 +114,7 @@ TEST_F(PersistenceTest, CrashRecoveryWithHomeRegistryHealsReferences) {
 TEST_F(PersistenceTest, CrashRecoveryHealsWhenHomeSurvives) {
   // Home (origin) core survives; the hosting core crashes; restore on a
   // standby core and the OLD stub heals transparently via the home.
-  rt.EnableHomeRegistry(true);
+  rt.EnableDirectory({});
   auto cores = MakeCores(3);
   auto counter = cores[0]->New<Counter>();  // home: core0
   counter.Call("increment", {Value(3)});

@@ -38,7 +38,7 @@ TEST_P(SoakTest, RandomOperationStreamStaysConsistent) {
   const int kCores = 5;
   auto cores = MakeCores(kCores, Millis(2), 1e7);
   const bool use_home = GetParam() % 2 == 0;
-  rt.EnableHomeRegistry(use_home);
+  if (use_home) rt.EnableDirectory({});
 
   struct Entry {
     core::ComletRef<Counter> ref;
@@ -155,7 +155,7 @@ TEST_P(PartitionSoakTest, FlappingLinksNeverCorruptState) {
   auto cores = MakeCores(kCores, Millis(2), 1e7);
   // Half the seeds run with the home registry, which adds the
   // retry-via-home path to the chaos.
-  rt.EnableHomeRegistry(GetParam() % 2 == 1);
+  if (GetParam() % 2 == 1) rt.EnableDirectory({});
   for (core::Core* c : cores) c->SetRpcTimeout(Millis(80));
 
   auto counter = cores[0]->New<Counter>();

@@ -111,7 +111,7 @@ TEST_F(ProtocolTest, RoutedMoveCommandUsesInvocationEnvelope) {
 }
 
 TEST_F(ProtocolTest, HomeRegistryAddsOneAsyncUpdatePerRemoteArrival) {
-  rt.EnableHomeRegistry(true);
+  rt.EnableDirectory({});
   auto cores = MakeCores(3);
   auto msg = cores[0]->New<Message>("m");  // home: core0; local, no message
   Record();

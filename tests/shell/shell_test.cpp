@@ -104,6 +104,39 @@ TEST_F(ShellTest, GcReportsReclaimedTrackers) {
   EXPECT_NE(s.find("reclaimed"), std::string::npos);
 }
 
+TEST_F(ShellTest, DirReportsPlacementAndShards) {
+  auto has = [](const std::string& s, const std::string& part) {
+    return s.find(part) != std::string::npos;
+  };
+  std::string s = Run("dir");
+  EXPECT_TRUE(has(s, "placement=none\n")) << s;
+  EXPECT_FALSE(has(s, "shard @")) << s;
+
+  // Origin placement: the home shard is the origin Core, and only stores
+  // that hold entries are listed.
+  rt.EnableDirectory({});
+  auto first = cores[1]->New<Message>("first");
+  cores[1]->MoveId(first.target(), cores[2]->id());
+  rt.RunUntilIdle();
+  s = Run("dir");
+  EXPECT_TRUE(has(s, "placement=origin map_version=1\n")) << s;
+  EXPECT_TRUE(has(s, "  shard @core1: entries=1\n")) << s;
+  EXPECT_FALSE(has(s, "shard @core0")) << s;
+  EXPECT_FALSE(has(s, "shard @core2")) << s;
+
+  // Ring placement over core0: every live Core's store is listed.
+  rt.EnableDirectory({cores[0]->id()});
+  cores[2]->New<Message>("second");
+  rt.RunUntilIdle();
+  s = Run("dir");
+  EXPECT_TRUE(has(s, "placement=ring map_version=2 shards=1 vnodes=16\n"))
+      << s;
+  EXPECT_TRUE(has(s, "  shard @core0: entries=1\n")) << s;
+  EXPECT_TRUE(has(s, "  shard @core1: entries=1\n")) << s;
+  EXPECT_TRUE(has(s, "  shard @core2: entries=0\n")) << s;
+  EXPECT_TRUE(has(s, "publishes=")) << s;
+}
+
 TEST_F(ShellTest, ErrorsAreReportedNotThrown) {
   EXPECT_NE(Run("move nosuch core1").find("error:"), std::string::npos);
   EXPECT_NE(Run("bogus_command").find("unknown command"), std::string::npos);

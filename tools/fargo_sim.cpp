@@ -15,6 +15,7 @@
 //   complet <core> <name> [payload_bytes]
 //   traffic <from-complet> <to-complet> <calls_per_second>
 //   home-registry on
+//   directory <core> [<core>...]
 //
 // Example: tools/example.cfg reproduces the paper's §4.3 scenario from
 // pure configuration.
@@ -165,11 +166,12 @@ int main(int argc, char** argv) {
         ls >> t.from >> t.to >> t.per_second;
         traffic.push_back(t);
       } else if (word == "home-registry") {
+        // The directory plane with origin placement; "off" is the default.
         std::string flag;
         ls >> flag;
-        rt.EnableHomeRegistry(flag == "on");
+        if (flag == "on") rt.EnableDirectory({});
       } else if (word == "directory") {
-        // directory <core> [<core>...] — sharded plane with these owners.
+        // directory <core> [<core>...] — ring placement over these owners.
         std::vector<CoreId> owners;
         std::string owner_name;
         while (ls >> owner_name) {
