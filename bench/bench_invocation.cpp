@@ -13,14 +13,15 @@ using namespace fargo::bench;
 
 namespace {
 
-// Baseline: a plain virtual call on the anchor object.
+// Baseline: a call through the anchor's own method map, no Core involved.
 void BM_DirectVirtualCall(benchmark::State& state) {
   World w(1);
   auto ref = w[0].New<Counter>();
-  auto anchor = w[0].repository().Get(ref.target());
+  std::shared_ptr<const core::Anchor> anchor =
+      w[0].repository().Get(ref.target());
   const std::vector<Value> no_args;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(anchor->Dispatch("get", no_args));
+    benchmark::DoNotOptimize(anchor->methods().Invoke("get", no_args));
   }
 }
 BENCHMARK(BM_DirectVirtualCall);

@@ -9,6 +9,9 @@
 // Build & run:  ./build/examples/load_balancer
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <map>
+#include <vector>
 
 #include "src/fargo.h"
 
@@ -37,13 +40,93 @@ class JobWorker : public core::Anchor {
 
 const bool kReg = serial::RegisterType<JobWorker>();
 
-void PrintLoads(core::Runtime& rt) {
+/// The admin's view of the farm: the workers each Core hosts. The admin
+/// deploys and moves every worker itself, so the view stays exact — and
+/// its listeners never read another Core's state, which under
+/// FARGO_PARALLEL belongs to another locality.
+using Layout = std::map<CoreId, std::vector<ComletId>>;
+
+void PrintLoads(core::Runtime& rt, Layout& layout) {
   std::printf("  t=%7.1f ms  loads:", fargo::ToMillis(rt.Now()));
   for (core::Core* c : rt.Cores())
-    std::printf("  %s=%zu%s", c->name().c_str(), c->repository().size(),
+    std::printf("  %s=%zu%s", c->name().c_str(), layout[c->id()].size(),
                 c->alive() ? "" : "(down)");
   std::printf("\n");
 }
+
+/// The admin's relocation policy, written directly against the Core API.
+class Balancer {
+ public:
+  Balancer(core::Runtime& rt, core::Core& admin, std::vector<core::Core*> farm)
+      : rt_(rt), admin_(admin), farm_(std::move(farm)) {}
+
+  Layout& layout() { return layout_; }
+
+  /// Moves `ids` off `from` one after another, each to the least-loaded
+  /// node when its turn comes, then runs `done`. Listeners run inside
+  /// tasks, where nothing may block: each move is routed from the admin
+  /// Core, and its settle continuation starts the next one.
+  void MoveEach(std::vector<ComletId> ids, std::size_t next, core::Core* from,
+                std::function<void()> done) {
+    core::Core* dest = next < ids.size() ? LeastLoaded(from) : nullptr;
+    if (dest == nullptr) {
+      done();
+      return;
+    }
+    const ComletId id = ids[next];
+    admin_.MoveIdAsync(id, dest->id())
+        // fargolint: allow(capture-this) the balancer lives in main, past the runtime's last pump
+        .OnSettle([this, ids = std::move(ids), next, from, dest, id,
+                   done = std::move(done)](sim::Future<sim::Unit> f) mutable {
+          if (f.ok()) {
+            std::vector<ComletId>& here = layout_[from->id()];
+            here.erase(std::find(here.begin(), here.end(), id));
+            layout_[dest->id()].push_back(id);
+          }
+          MoveEach(std::move(ids), next + 1, from, std::move(done));
+        });
+  }
+
+  /// Policy 1: spread when a node gets hot (threshold monitor event).
+  /// Policy 2: reliability — evacuate a dying node (CoreShutdown event).
+  void Attach() {
+    for (core::Core* node : farm_) {
+      admin_.ListenThresholdAt(
+          node->id(), monitor::ComletLoadProbe(), 8.0,
+          monitor::Trigger::kAbove, fargo::Millis(50),
+          [this, node](const monitor::Event& e) {
+            std::printf("  !! %s overloaded (load %.0f) -> spreading\n",
+                        node->name().c_str(), e.value);
+            std::vector<ComletId> here = layout_[node->id()];
+            here.resize(here.size() / 2);
+            MoveEach(std::move(here), 0, node,
+                     [this] { PrintLoads(rt_, layout_); });
+          });
+      admin_.ListenAt(node->id(), monitor::EventKind::kCoreShutdown,
+                      [this, node](const monitor::Event&) {
+                        std::printf("  !! %s shutting down -> evacuating\n",
+                                    node->name().c_str());
+                        MoveEach(layout_[node->id()], 0, node, [] {});
+                      });
+    }
+  }
+
+ private:
+  core::Core* LeastLoaded(core::Core* except) {
+    core::Core* best = nullptr;
+    for (core::Core* c : farm_)
+      if (c != except && c->alive() &&
+          (best == nullptr ||
+           layout_[c->id()].size() < layout_[best->id()].size()))
+        best = c;
+    return best;
+  }
+
+  core::Runtime& rt_;
+  core::Core& admin_;
+  std::vector<core::Core*> farm_;
+  Layout layout_;
+};
 
 }  // namespace
 
@@ -57,51 +140,17 @@ int main() {
   rt.network().SetDefaultLink({fargo::Millis(5), 1.25e7, true});
 
   std::printf("== FarGo load balancer (monitoring API) ==\n");
-
-  // Least-loaded core in the farm.
-  auto least_loaded = [&](core::Core* except) {
-    core::Core* best = nullptr;
-    for (core::Core* c : farm)
-      if (c != except && c->alive() &&
-          (best == nullptr || c->repository().size() < best->repository().size()))
-        best = c;
-    return best;
-  };
-
-  // Policy 1: spread when a node gets hot (threshold monitor event).
-  for (core::Core* node : farm) {
-    admin.ListenThresholdAt(
-        node->id(), monitor::ComletLoadProbe(), 8.0, monitor::Trigger::kAbove,
-        fargo::Millis(50), [&, node](const monitor::Event& e) {
-          std::printf("  !! %s overloaded (load %.0f) -> spreading\n",
-                      node->name().c_str(), e.value);
-          std::vector<ComletId> here = node->ComletsHere();
-          for (std::size_t i = 0; i < here.size() / 2; ++i) {
-            core::Core* dest = least_loaded(node);
-            if (dest != nullptr) node->MoveId(here[i], dest->id());
-          }
-          PrintLoads(rt);
-        });
-  }
-
-  // Policy 2: reliability — evacuate a dying node (CoreShutdown event).
-  for (core::Core* node : farm) {
-    admin.ListenAt(node->id(), monitor::EventKind::kCoreShutdown,
-                   [&, node](const monitor::Event&) {
-                     std::printf("  !! %s shutting down -> evacuating\n",
-                                 node->name().c_str());
-                     for (ComletId id : node->ComletsHere()) {
-                       core::Core* dest = least_loaded(node);
-                       if (dest != nullptr) node->MoveId(id, dest->id());
-                     }
-                   });
-  }
+  Balancer balancer(rt, admin, farm);
+  balancer.Attach();
+  Layout& layout = balancer.layout();
 
   // Deploy 12 workers, all on node0 (a deliberately bad static layout).
   std::vector<core::ComletRef<JobWorker>> workers;
-  for (int i = 0; i < 12; ++i)
+  for (int i = 0; i < 12; ++i) {
     workers.push_back(admin.NewAt<JobWorker>(farm[0]->id()));
-  PrintLoads(rt);
+    layout[farm[0]->id()].push_back(workers.back().target());
+  }
+  PrintLoads(rt, layout);
 
   // Serve requests; the threshold event fires and the layout spreads.
   std::int64_t checksum = 0;
@@ -110,13 +159,13 @@ int main() {
       checksum += w.Invoke<std::int64_t>("run", std::int64_t{round});
     rt.RunFor(fargo::Millis(100));
   }
-  PrintLoads(rt);
+  PrintLoads(rt, layout);
 
   // Now a node dies; its complets evacuate and service continues.
   std::printf("-- announcing shutdown of node1 --\n");
   farm[1]->Shutdown(fargo::Millis(500));
   rt.RunFor(fargo::Millis(500));
-  PrintLoads(rt);
+  PrintLoads(rt, layout);
 
   for (int round = 0; round < 5; ++round)
     for (auto& w : workers)

@@ -95,21 +95,30 @@ class Agent : public core::Anchor {
       return Value();
     });
     // Continuation invoked on arrival at each site (§3.3): do the site's
-    // work using the three references.
-    methods().Register("visit", [this](const std::vector<Value>&) {
-      const std::string site = core()->name();
-      std::string greeting = config_.Invoke<std::string>("get");
-      notebook_.Call("append", {Value("visited " + site)});
-      if (printer_) {
-        printer_.Call("print", {Value(greeting + " from the agent at " + site)});
-      } else {
-        std::printf("  [agent @ %s] no local printer here\n", site.c_str());
-      }
-      return Value();
-    });
-    methods().Register("report", [this](const std::vector<Value>&) {
-      return notebook_.Call("dump");
-    });
+    // work using the three references. A method runs inside a task, where
+    // nothing may block, so it chains its calls and returns the future.
+    methods().Register(
+        "visit", [this](const std::vector<Value>&) -> sim::Future<Value> {
+          const std::string site = core()->name();
+          // fargolint: allow(capture-this) the agent stays here until its visit settles: main pumps to idle before the next move
+          return config_.CallAsync("get").Then([this, site](Value& greeting) {
+            return notebook_.CallAsync("append", {Value("visited " + site)})
+                // fargolint: allow(capture-this) as above
+                .Then([this, site, greeting = greeting.AsString()](
+                          Value&) -> sim::Future<Value> {
+                  if (printer_)
+                    return printer_.CallAsync(
+                        "print", {Value(greeting + " from the agent at " + site)});
+                  std::printf("  [agent @ %s] no local printer here\n",
+                              site.c_str());
+                  return sim::MakeReadyFuture(core()->scheduler(), Value());
+                });
+          });
+        });
+    methods().Register(
+        "report", [this](const std::vector<Value>&) -> sim::Future<Value> {
+          return notebook_.CallAsync("dump");
+        });
   }
   std::string_view TypeName() const override { return kTypeName; }
   void Serialize(serial::GraphWriter& w) const override {

@@ -23,9 +23,11 @@ class Frontend : public core::Anchor {
       backend_ = core()->RefTo<core::Anchor>(args.at(0));
       return Value();
     });
-    methods().Register("request", [this](const std::vector<Value>&) {
-      return backend_.Call("serve");
-    });
+    // A method that calls another complet returns that call's future.
+    methods().Register(
+        "request", [this](const std::vector<Value>&) -> sim::Future<Value> {
+          return backend_.CallAsync("serve");
+        });
   }
   std::string_view TypeName() const override { return kTypeName; }
   void Serialize(serial::GraphWriter& w) const override {

@@ -42,9 +42,11 @@ class Storefront : public core::Anchor {
       inventory_ = core()->RefTo<Inventory>(args.at(0));
       return Value();
     });
-    methods().Register("sell", [this](const std::vector<Value>&) {
-      return inventory_.Call("take", {Value(1)});
-    });
+    // A method that calls another complet returns that call's future.
+    methods().Register(
+        "sell", [this](const std::vector<Value>&) -> sim::Future<Value> {
+          return inventory_.CallAsync("take", {Value(1)});
+        });
   }
   std::string_view TypeName() const override { return kTypeName; }
   void Serialize(serial::GraphWriter& w) const override {

@@ -16,7 +16,10 @@
 // Build & run:  ./build/examples/wide_area_index
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/fargo.h"
 
@@ -84,21 +87,19 @@ class Indexer : public core::Anchor {
           core::MakeRelocator("stamp"));
       return Value();
     });
-    // Arrival continuation: index the local shard.
-    methods().Register("indexHere", [this](const std::vector<Value>&) {
-      if (!shard_) return Value("no shard at " + core()->name());
-      std::istringstream docs(shard_.Invoke<std::string>("docs"));
-      std::string word;
-      std::int64_t indexed = 0;
-      while (docs >> word) {
-        if (stopwords_.Invoke<bool>("contains", word)) continue;
-        index_[word] += 1;
-        ++indexed;
-      }
-      sites_ += core()->name() + " ";
-      return Value("indexed " + std::to_string(indexed) + " terms at " +
-                   core()->name());
-    });
+    // Arrival continuation: index the local shard. It runs inside a task,
+    // where nothing may block: it asks for the documents, then checks every
+    // word against the stopword table at once and indexes the survivors
+    // when the last answer is in.
+    methods().Register(
+        "indexHere", [this](const std::vector<Value>&) -> sim::Future<Value> {
+          if (!shard_)
+            return sim::MakeReadyFuture(core()->scheduler(),
+                                        Value("no shard at " + core()->name()));
+          return shard_.CallAsync("docs").Then(
+              // fargolint: allow(capture-this) the indexer stays here until indexHere settles: main pumps to idle before the next move
+              [this](Value& docs) { return IndexWords(docs.AsString()); });
+        });
     methods().Register("summary", [this](const std::vector<Value>&) {
       Value::Map m;
       m["distinct_terms"] = Value(static_cast<std::int64_t>(index_.size()));
@@ -137,6 +138,35 @@ class Indexer : public core::Anchor {
   }
 
  private:
+  sim::Future<Value> IndexWords(const std::string& docs) {
+    std::istringstream in(docs);
+    auto words = std::make_shared<std::vector<std::string>>();
+    for (std::string word; in >> word;) words->push_back(std::move(word));
+    auto stop = std::make_shared<std::vector<bool>>(words->size());
+    auto pending = std::make_shared<std::size_t>(words->size() + 1);
+    sim::Promise<Value> done(core()->scheduler());
+    auto finish = [this, words, stop, pending, done]() mutable {
+      if (--*pending > 0) return;
+      std::int64_t indexed = 0;
+      for (std::size_t i = 0; i < words->size(); ++i) {
+        if ((*stop)[i]) continue;
+        index_[(*words)[i]] += 1;
+        ++indexed;
+      }
+      sites_ += core()->name() + " ";
+      done.Resolve(Value("indexed " + std::to_string(indexed) +
+                         " terms at " + core()->name()));
+    };
+    for (std::size_t i = 0; i < words->size(); ++i)
+      stopwords_.CallAsync("contains", {Value((*words)[i])})
+          .OnSettle([stop, i, finish](sim::Future<Value> f) mutable {
+            (*stop)[i] = f.ok() && f.value().AsBool();
+            finish();
+          });
+    finish();  // an empty shard indexes nothing
+    return done.future();
+  }
+
   core::ComletRef<Stopwords> stopwords_;
   core::ComletRef<Shard> shard_;
   std::map<std::string, std::int64_t> index_;

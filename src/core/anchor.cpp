@@ -2,12 +2,14 @@
 
 namespace fargo::core {
 
-Value MethodMap::Invoke(std::string_view name,
-                        const std::vector<Value>& args) const {
+MethodResult MethodMap::Invoke(std::string_view name,
+                               const std::vector<Value>& args) const {
   auto it = handlers_.find(name);
   if (it == handlers_.end())
     throw FargoError("unknown method: " + std::string(name));
-  return it->second(args);
+  if (const auto* later = std::get_if<AsyncHandler>(&it->second))
+    return MethodResult{Value(), (*later)(args)};
+  return MethodResult{std::get<Handler>(it->second)(args), {}};
 }
 
 std::vector<std::string> MethodMap::Names() const {

@@ -16,23 +16,41 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "src/common/ids.h"
 #include "src/common/value.h"
 #include "src/core/fwd.h"
 #include "src/serial/registry.h"
+#include "src/sim/future.h"
 
 namespace fargo::core {
+
+/// What a dispatched method produced: its value, or — for a method that
+/// answers later — `later`, which settles with the value or the error.
+struct MethodResult {
+  Value value;
+  sim::Future<Value> later;  ///< valid() only for an async method
+};
 
 /// Registry of remotely invocable methods of an anchor.
 // fargo: domain(core)
 class MethodMap {
  public:
   using Handler = std::function<Value(const std::vector<Value>&)>;
+  /// A method that answers later. Methods run inside tasks, where a
+  /// synchronous call would pump and throw; a method that calls another
+  /// complet returns that call's future (`ref.CallAsync(...)`), and its own
+  /// caller is answered when the future settles.
+  using AsyncHandler =
+      std::function<sim::Future<Value>(const std::vector<Value>&)>;
 
   /// Registers `handler` under `name`; later registrations win (overrides).
   void Register(std::string name, Handler handler) {
+    handlers_[std::move(name)] = std::move(handler);
+  }
+  void Register(std::string name, AsyncHandler handler) {
     handlers_[std::move(name)] = std::move(handler);
   }
 
@@ -41,13 +59,15 @@ class MethodMap {
   }
 
   /// Invokes the named handler; throws FargoError for unknown methods.
-  Value Invoke(std::string_view name, const std::vector<Value>& args) const;
+  MethodResult Invoke(std::string_view name,
+                      const std::vector<Value>& args) const;
 
   /// Sorted method names, for the shell's introspection commands.
   std::vector<std::string> Names() const;
 
  private:
-  std::map<std::string, Handler, std::less<>> handlers_;
+  std::map<std::string, std::variant<Handler, AsyncHandler>, std::less<>>
+      handlers_;
 };
 
 /// Base class of all complet anchors.
@@ -65,13 +85,6 @@ class Anchor : public serial::Serializable {
 
   /// The Core currently hosting this complet (null before registration).
   Core* core() const { return core_; }
-
-  /// Dispatches a (possibly remote) invocation. The default implementation
-  /// consults the MethodMap; override for fully custom dispatch.
-  virtual Value Dispatch(std::string_view method,
-                         const std::vector<Value>& args) {
-    return methods_.Invoke(method, args);
-  }
 
   // -- movement lifecycle callbacks (§3.3) -----------------------------------
   /// Invoked at the sending Core before the complet is marshaled.

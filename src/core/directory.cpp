@@ -43,6 +43,11 @@ void Directory::Publish(ComletId id, CoreId location, std::uint64_t epoch) {
   core_.formation().Enqueue(std::move(msg), net::Formation::Lane::kPriority);
 }
 
+void Directory::AssertHosted() {
+  // Hosting is ground truth: an epoch-0 assertion always wins on location.
+  for (ComletId id : core_.repository().All()) Publish(id, core_.id(), 0);
+}
+
 sim::Future<wire::DirectoryHint> Directory::LookupAsync(ComletId id) {
   if (!id.valid())
     return sim::MakeReadyFuture(core_.scheduler(), wire::DirectoryHint{});

@@ -55,6 +55,11 @@ class Directory {
   /// stamp back as a kTrackerUpdate. No-op when the plane is disabled.
   void Publish(ComletId id, CoreId location, std::uint64_t epoch);
 
+  /// Re-asserts every complet hosted here to its home shard (an epoch-0
+  /// Publish each): after WAL recovery, and after a shard map install that
+  /// may have moved their homes. No-op when the plane is disabled.
+  void AssertHosted();
+
   /// Asks the home shard for `id`'s location. Resolves with found = false
   /// when the shard has never heard of it (or the plane is disabled);
   /// rejects when the shard is unreachable.

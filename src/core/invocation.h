@@ -137,15 +137,12 @@ class InvocationUnit {
                                       const std::string& method,
                                       std::vector<Value> args);
 
+  /// Runs the call on its locally hosted target; an async method settles
+  /// it from the method's settle continuation.
   void DispatchLocalCall(const std::shared_ptr<AsyncCall>& call);
-  /// Origin-side twin of ExecuteMoveAndReply: a kMoveMethod call whose
-  /// target is hosted right here runs through MoveLocalAsync and settles
-  /// from the move's continuation.
-  void DispatchLocalMove(const std::shared_ptr<AsyncCall>& call);
-  /// Decodes a routed __fargo.move request and starts the movement; decode
-  /// errors and a vanished target come back as a rejected future.
-  sim::Future<sim::Unit> StartLocalMove(const wire::InvokeRequest& rq,
-                                        const wire::TraceContext& ctx);
+  /// Settles a local call with its method's value, behind a WAL barrier on
+  /// a durable Core.
+  void AnswerLocal(const std::shared_ptr<AsyncCall>& call, Value value);
   void AwaitRoute(const std::shared_ptr<AsyncCall>& call, SimTime deadline);
   void ResumeAfterRoute(const std::shared_ptr<AsyncCall>& call,
                         SimTime deadline);
@@ -183,21 +180,14 @@ class InvocationUnit {
   void ForwardRequest(wire::InvokeRequest rq, const net::Message& msg,
                       TrackerEntry& entry);
 
+  /// Executes an admitted request; an async method answers from its
+  /// settle continuation.
   void ExecuteAndReply(const wire::InvokeRequest& rq,
                        std::uint64_t correlation,
                        const net::SessionKey& skey);
-  /// Executor side of a routed __fargo.move: runs the movement through
-  /// MoveLocalAsync and sends the reply (or the oneway slot bookkeeping)
-  /// from its settle continuation. Executor handlers are non-blocking state
-  /// machines — under FARGO_PARALLEL a nested pump inside a locality worker
-  /// would deadlock the round barrier — so the move must not block here.
-  void ExecuteMoveAndReply(const wire::InvokeRequest& rq,
-                           std::uint64_t correlation,
-                           const net::SessionKey& skey,
-                           const monitor::Tracer::Opened& exec, int hops);
   /// Settles an executed request: closes its exec span, then answers the
   /// origin (two-way) or completes the slot and acks it (oneway). `error`
-  /// is the method's (or the move's) failure, if any.
+  /// is the method's failure, if any.
   void FinishExec(const wire::InvokeRequest& rq, std::uint64_t correlation,
                   const net::SessionKey& skey,
                   const monitor::Tracer::Opened& exec, int hops, Value result,

@@ -146,23 +146,24 @@ void MovementUnit::MarshalSection(
   out.WriteBytes(body.buffer());
 }
 
-sim::Future<sim::Unit> MovementUnit::MoveLocalAsync(ComletId primary,
-                                                    CoreId dest,
-                                                    std::string continuation,
-                                                    std::vector<Value> args) {
+template <class T>
+sim::Future<T> MovementUnit::MoveLocalAsync(ComletId primary, CoreId dest,
+                                            std::string continuation,
+                                            std::vector<Value> args) {
   sim::Scheduler::AffinityScope aff(core_.id().value);
   sim::Scheduler& sched = core_.scheduler();
   std::shared_ptr<Anchor> anchor = core_.repository().Get(primary);
   if (!anchor)
-    return sim::MakeErrorFuture<sim::Unit>(
+    return sim::MakeErrorFuture<T>(
         sched, FargoError("move: complet " + ToString(primary) +
                           " is not hosted at " + ToString(core_.id())));
   if (dest == core_.id()) {
-    sim::Promise<sim::Unit> done(sched);
+    sim::Promise<T> done(sched);
     try {
+      // An async continuation runs on after the move settles.
       if (!continuation.empty())
-        core_.DispatchLocal(primary, continuation, args);
-      done.Resolve(sim::Unit{});
+        core_.DispatchDetached(primary, continuation, args);
+      done.Resolve(T{});
     } catch (...) {
       done.Reject(std::current_exception());
     }
@@ -256,7 +257,7 @@ sim::Future<sim::Unit> MovementUnit::MoveLocalAsync(ComletId primary,
   pending->bytes = stats_.stream_bytes;
   pending->txn = txn;
 
-  sim::Promise<sim::Unit> done(sched);
+  sim::Promise<T> done(sched);
   std::vector<std::uint8_t> stream = payload.Take();
 
   const std::uint64_t settle_epoch = core_.restart_epoch();
@@ -367,21 +368,16 @@ sim::Future<sim::Unit> MovementUnit::MoveLocalAsync(ComletId primary,
         // future settles once they all land (or fail — logged, not fatal).
         auto remaining = std::make_shared<std::size_t>(pending->pulls.size());
         if (*remaining == 0) {
-          done.Resolve(sim::Unit{});
+          done.Resolve(T{});
           return;
         }
         for (ComletId id : pending->pulls) {
           core_.MoveIdAsync(id, dest).OnSettle(
               [done, remaining, id](sim::Future<sim::Unit> pf) mutable {
-                if (!pf.ok()) {
-                  try {
-                    std::rethrow_exception(pf.error());
-                  } catch (const std::exception& e) {
-                    LogWarn() << "deferred pull of " << ToString(id)
-                              << " failed: " << e.what();
-                  }
-                }
-                if (--*remaining == 0) done.Resolve(sim::Unit{});
+                if (!pf.ok())
+                  LogWarn() << "deferred pull of " << ToString(id)
+                            << " failed: " << sim::ErrorText(pf.error());
+                if (--*remaining == 0) done.Resolve(T{});
               });
         }
       };
@@ -418,6 +414,11 @@ sim::Future<sim::Unit> MovementUnit::MoveLocalAsync(ComletId primary,
   }
   return done.future();
 }
+
+template sim::Future<sim::Unit> MovementUnit::MoveLocalAsync<sim::Unit>(
+    ComletId, CoreId, std::string, std::vector<Value>);
+template sim::Future<Value> MovementUnit::MoveLocalAsync<Value>(
+    ComletId, CoreId, std::string, std::vector<Value>);
 
 MovementUnit::DecodedSection MovementUnit::DecodeSection(serial::Reader& r) {
   DecodedSection section;
@@ -558,7 +559,7 @@ void MovementUnit::HandleMoveRequest(net::Message msg) {
   if (has_continuation) {
     monitor::TraceScope scope(core_.tracer(), install.ctx);
     try {
-      core_.DispatchLocal(primary, continuation, cont_args);
+      core_.DispatchDetached(primary, continuation, cont_args);
     } catch (const std::exception& e) {
       LogWarn() << "continuation " << continuation << " on "
                 << ToString(primary) << " failed: " << e.what();

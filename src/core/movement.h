@@ -58,10 +58,13 @@ class MovementUnit {
   /// stream start parking at once), then settles the returned future when
   /// the destination acknowledges AND every deferred remote pull has run
   /// its course (pull failures are logged, never propagated). Rejects —
-  /// after rolling the complets back — when the move fails.
-  sim::Future<sim::Unit> MoveLocalAsync(ComletId primary, CoreId dest,
-                                        std::string continuation,
-                                        std::vector<Value> args);
+  /// after rolling the complets back — when the move fails. `T` is
+  /// sim::Unit for Core::MoveAsync and Value (nil) for the `__fargo.move`
+  /// method, so neither pays a conversion hop.
+  template <class T>
+  sim::Future<T> MoveLocalAsync(ComletId primary, CoreId dest,
+                                std::string continuation,
+                                std::vector<Value> args);
 
   /// Handles an inbound migration stream.
   void HandleMoveRequest(net::Message msg);

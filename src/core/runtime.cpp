@@ -65,12 +65,6 @@ Runtime::Runtime(const RuntimeOptions& options)
   // could deliver anything.
   if (auto* p = dynamic_cast<sim::ParallelScheduler*>(scheduler_.get()))
     p->SetLookahead([&net = network_] { return net.MinLinkLatency(); });
-  // Max-gauge of scheduler pump nesting: the async invocation pipeline keeps
-  // this at 1; anything deeper means a blocking wait re-entered the pump.
-  scheduler_->SetPumpObserver(
-      [&depth = metrics_.gauge("sched.pump_depth")](int d) {
-        if (d > static_cast<int>(depth.value())) depth.Set(d);
-      });
 }
 
 Runtime::~Runtime() {
@@ -88,13 +82,22 @@ Runtime::~Runtime() {
 void Runtime::EnableDirectory(std::vector<CoreId> owners,
                               std::uint32_t vnodes) {
   if (vnodes == 0) throw FargoError("EnableDirectory: vnodes must be > 0");
-  shard_map_ = MakeShardMap(shard_map_.version + 1, std::move(owners), vnodes);
+  InstallShardMap(
+      MakeShardMap(shard_map_.version + 1, std::move(owners), vnodes));
 }
 
 bool Runtime::AdoptShardMap(const ShardMap& map) {
   if (!map.valid() || map.version <= shard_map_.version) return false;
-  shard_map_ = map;
+  InstallShardMap(map);
   return true;
+}
+
+void Runtime::InstallShardMap(ShardMap map) {
+  shard_map_ = std::move(map);
+  for (auto& core : cores_) {
+    sim::Scheduler::AffinityScope aff(core->id().value);
+    if (core->alive()) core->directory().AssertHosted();
+  }
 }
 
 Core& Runtime::CreateCore(std::string name) {

@@ -87,7 +87,8 @@ class Runtime {
   /// consistent-hash ring (`vnodes` points per shard; Directory::BroadcastMap
   /// distributes the map). With none, each complet's origin Core is its
   /// home: the §7 *home registry*, where a stub whose chain is severed
-  /// (e.g. by a crashed Core) consults the home and re-routes.
+  /// (e.g. by a crashed Core) consults the home and re-routes. Every live
+  /// Core then re-asserts the complets it hosts to their new home shards.
   void EnableDirectory(std::vector<CoreId> owners, std::uint32_t vnodes = 16);
   const ShardMap& shard_map() const { return shard_map_; }
   /// Higher-version-wins map adoption (kDirectoryMap receive path).
@@ -100,6 +101,10 @@ class Runtime {
   SimTime Now() const { return scheduler_->Now(); }
 
  private:
+  /// Installs `map`; each live Core re-asserts what it hosts, since the
+  /// map may have moved its complets' home shards.
+  void InstallShardMap(ShardMap map);
+
   std::unique_ptr<sim::Scheduler> scheduler_;  ///< engine per RuntimeOptions
   sim::Storage storage_{*scheduler_};
   monitor::Registry metrics_;  ///< before network_: the drop hook refers here

@@ -750,10 +750,9 @@ void Wal::Recover() {
   AppendMetaAndSync();
 
   // Directory sweep: everything hosted here again is re-asserted to its
-  // home shard (epoch-0 publish — hosting is ground truth), which echoes
-  // the authoritative stamp back, so severed references can re-route.
-  for (ComletId id : core_.repository_.All())
-    core_.directory().Publish(id, core_.id_, 0);
+  // home shard, which echoes the authoritative stamp back, so severed
+  // references can re-route.
+  core_.directory().AssertHosted();
 
   std::vector<std::uint64_t> txns;
   txns.reserve(open_txns_.size());

@@ -184,13 +184,17 @@ void EventBus::Notify(const Listener& listener, const Event& event) {
 
 Listener ComletListener(core::Core& core, ComletHandle listener,
                         std::string method) {
+  // A listener runs inside a task: deliver asynchronously, report on
+  // settle.
   return [&core, listener, method](const Event& e) {
-    try {
-      core.RefFromHandle(listener).Call(method, {EventToValue(e)});
-    } catch (const std::exception& ex) {
-      LogWarn() << "event delivery to complet " << ToString(listener.id)
-                << "." << method << " failed: " << ex.what();
-    }
+    core.RefFromHandle(listener)
+        .CallAsync(method, {EventToValue(e)})
+        .OnSettle([listener, method](sim::Future<Value> f) {
+          if (!f.ok())
+            LogWarn() << "event delivery to complet " << ToString(listener.id)
+                      << "." << method
+                      << " failed: " << sim::ErrorText(f.error());
+        });
   };
 }
 

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/value.h"  // FargoError
@@ -22,27 +23,19 @@ struct WorkerCtx {
 };
 thread_local WorkerCtx tl_ctx;
 
-/// Makes the calling thread locality `loc`'s executor for one round step —
-/// the routing context and the worker mark PumpGuard checks — and restores
-/// the thread's own values on exit.
+/// Makes the calling thread locality `loc`'s executor for one round step
+/// and restores the thread's own routing context on exit.
 // fargo: domain(sim)
 class StepContext {
  public:
   StepContext(ParallelScheduler* sched, int loc, std::uint64_t round)
-      : prev_ctx_(tl_ctx), prev_loc_(detail::tl_worker_locality) {
-    tl_ctx = WorkerCtx{sched, loc, round};
-    detail::tl_worker_locality = loc;
-  }
-  ~StepContext() {
-    tl_ctx = prev_ctx_;
-    detail::tl_worker_locality = prev_loc_;
-  }
+      : prev_ctx_(std::exchange(tl_ctx, WorkerCtx{sched, loc, round})) {}
+  ~StepContext() { tl_ctx = prev_ctx_; }
   StepContext(const StepContext&) = delete;
   StepContext& operator=(const StepContext&) = delete;
 
  private:
   WorkerCtx prev_ctx_;
-  int prev_loc_;
 };
 
 }  // namespace
@@ -149,6 +142,9 @@ void ParallelScheduler::WorkerLoop(int idx) {
 
 void ParallelScheduler::Step(int idx, std::uint64_t round) {
   StepContext ctx(this, idx, round);
+  // A task never pumps: the step holds the no-pump check on a worker as
+  // the enclosing pump already does on the conductor.
+  NoPumpScope no_pump(*this);
   // On the conductor, drop the pump caller's AffinityScope: locality 0's
   // tasks route by their own locality, exactly as on a worker.
   AffinityScope unscoped;

@@ -62,7 +62,7 @@
 //
 // Pumping is a conductor privilege: a task entering RunUntil & friends
 // throws FargoError (scheduler.h PumpGuard), on a worker and on the
-// conductor's locality-0 step alike. Between rounds the workers are parked
+// conductor's locality-0 step alike, exactly as a sim task does. Between rounds the workers are parked
 // on the barrier, so the conductor may freely inspect Cores, metrics and
 // futures — that is the happens-before edge that keeps the existing
 // single-threaded test/driver idiom (pump, then assert) safe without any

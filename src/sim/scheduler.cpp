@@ -7,30 +7,23 @@
 namespace fargo::sim {
 
 namespace detail {
-thread_local int tl_worker_locality = -1;
 thread_local int tl_no_pump = 0;
 }  // namespace detail
 
 thread_local std::uint64_t Scheduler::AffinityScope::ambient_key_ = 0;
 thread_local bool Scheduler::AffinityScope::ambient_set_ = false;
 
-Scheduler::PumpGuard::PumpGuard(Scheduler& s) : sched_(s) {
+Scheduler::PumpGuard::PumpGuard() {
   if (detail::tl_no_pump > 0)
     throw FargoError(
-        "re-entrant scheduler pump inside a no-pump section (the async "
-        "invocation pipeline must use continuations, not blocking waits)");
-  if (detail::tl_worker_locality >= 0)
-    throw FargoError(
-        "scheduler pump from a locality worker thread (only the conductor "
-        "may pump; handlers must be non-blocking state machines)");
-  ++sched_.pump_depth_;
-  if (sched_.pump_depth_ > sched_.max_pump_depth_)
-    sched_.max_pump_depth_ = sched_.pump_depth_;
-  if (sched_.pump_observer_) sched_.pump_observer_(sched_.pump_depth_);
+        "scheduler pump inside a task or a no-pump section (only the "
+        "conductor may pump, outside any task; call asynchronously and "
+        "return or chain the future)");
+  ++detail::tl_no_pump;
 }
 
 bool Scheduler::RunOne() {
-  PumpGuard guard(*this);
+  PumpGuard guard;
   // Stop after the first task (sim) or timestamp (locality engine) that
   // executed something; a cancelled task does not count.
   const std::uint64_t before = executed();
@@ -38,12 +31,12 @@ bool Scheduler::RunOne() {
 }
 
 void Scheduler::RunUntilIdle() {
-  PumpGuard guard(*this);
+  PumpGuard guard;
   Advance({}, false, kNoDue);
 }
 
 void Scheduler::RunUntil(const std::function<bool()>& pred) {
-  PumpGuard guard(*this);
+  PumpGuard guard;
   if (!Advance(pred, true, kNoDue))
     throw FargoError("scheduler drained while awaiting a condition "
                      "(lost message or dead peer?)");
@@ -51,12 +44,12 @@ void Scheduler::RunUntil(const std::function<bool()>& pred) {
 
 bool Scheduler::RunUntilOr(const std::function<bool()>& pred,
                            SimTime deadline) {
-  PumpGuard guard(*this);
+  PumpGuard guard;
   return Advance(pred, true, deadline);
 }
 
 void Scheduler::RunFor(SimTime d) {
-  PumpGuard guard(*this);
+  PumpGuard guard;
   Advance({}, false, Now() + d);
 }
 

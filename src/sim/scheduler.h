@@ -20,13 +20,13 @@
 // defined once, here, over each engine's one virtual `Advance`. The sim
 // advances one task per round, the locality engine one barrier round.
 //
-// The asynchronous invocation pipeline (DESIGN.md §5) never pumps from
-// inside an event handler: RPC machinery is written as scheduled
-// continuations, and NoPumpScope enforces that invariant at run time. Only
-// the top-level synchronous API wrappers pump (RunUntil and friends), and
-// the scheduler keeps pump-depth accounting so tests can assert the
-// invocation path stays at depth ≤ 1. Pumps are a conductor-thread
-// privilege: a task of a parallel locality entering a pump throws.
+// One execution model (DESIGN.md §5): a pump is a conductor privilege.
+// Synchronous calls pump, so they are legal only on the conductor, outside
+// any task; code that runs inside a task (a complet method, a listener, a
+// continuation) calls asynchronously and returns or chains the future.
+// PumpGuard enforces it with one thread-local check, held by every pump,
+// by every locality step and by NoPumpScope: a pump entered while any of
+// them is on the calling thread's stack throws FargoError.
 #pragma once
 
 #include <cstdint>
@@ -39,13 +39,10 @@
 namespace fargo::sim {
 
 namespace detail {
-/// -1 on the conductor/main thread; the locality index while a thread runs
-/// a ParallelScheduler locality's round step (a worker, or the conductor
-/// for locality 0). Tasks of a locality must never pump.
-extern thread_local int tl_worker_locality;
-/// Per-thread NoPumpScope nesting count. The no-pump invariant is a
-/// property of the *calling thread*'s stack, so the counter is
-/// thread-local rather than per-scheduler.
+/// How many no-pump holds are on the calling thread's stack: pumps,
+/// locality steps and NoPumpScopes. A pump entered while it is non-zero
+/// throws. Thread-local, because the rule is about the calling thread's
+/// stack, not about one scheduler.
 extern thread_local int tl_no_pump;
 }  // namespace detail
 
@@ -134,29 +131,12 @@ class Scheduler {
   /// thread executes events itself).
   virtual int localities() const { return 0; }
 
-  // -- pump-depth accounting ---------------------------------------------------
-
-  /// How many pump loops (RunUntil/RunUntilOr/RunUntilIdle/RunFor/RunOne at
-  /// top level) are currently on the call stack. 0 outside any pump; the
-  /// async pipeline keeps this at ≤ 1.
-  int PumpDepth() const { return pump_depth_; }
-
-  /// Deepest nesting ever observed (telemetry; mirrored into the
-  /// `sched.pump_depth` max-gauge by Runtime).
-  int MaxPumpDepth() const { return max_pump_depth_; }
-
-  /// Called with the new depth every time a pump is entered. Runtime wires
-  /// this to the metrics registry.
-  void SetPumpObserver(std::function<void(int)> obs) {
-    pump_observer_ = std::move(obs);
-  }
-
   /// RAII: while alive, entering any pump loop *on this thread* throws
-  /// FargoError. The async RPC machinery holds one of these across its
-  /// bookkeeping so a blocking call can never sneak back into the
-  /// continuation path. Always on (the default build defines NDEBUG, so a
-  /// plain assert would be vacuous); the check is a single integer test
-  /// per pump entry.
+  /// FargoError. Every pump and every locality step holds one, so a task
+  /// can never pump; the RPC machinery holds one across its bookkeeping as
+  /// well, so the rule also covers code that runs outside a task. Always
+  /// on (the default build defines NDEBUG, so a plain assert would be
+  /// vacuous); the check is a single integer test per pump entry.
   // fargo: domain(sim)
   class NoPumpScope {
    public:
@@ -220,23 +200,16 @@ class Scheduler {
   virtual bool Advance(const std::function<bool()>& done, bool between_rounds,
                        SimTime horizon) = 0;
 
-  /// RAII around every pump loop: bumps depth, notifies the observer, and
-  /// rejects entry from inside a NoPumpScope or from a locality's task.
+  /// RAII around every pump loop: throws if a no-pump hold is already on
+  /// this thread's stack, then holds one itself for the pump's lifetime.
   // fargo: domain(sim)
   class PumpGuard {
    public:
-    explicit PumpGuard(Scheduler& s);
-    ~PumpGuard() { --sched_.pump_depth_; }
+    PumpGuard();
+    ~PumpGuard() { --detail::tl_no_pump; }
     PumpGuard(const PumpGuard&) = delete;
     PumpGuard& operator=(const PumpGuard&) = delete;
-
-   private:
-    Scheduler& sched_;
   };
-
-  int pump_depth_ = 0;
-  int max_pump_depth_ = 0;
-  std::function<void(int)> pump_observer_;
 };
 
 /// The single-threaded deterministic pump: one TaskQueue in (time, FIFO

@@ -117,6 +117,23 @@ void CountMaps(core::Runtime& rt, std::uint64_t& maps) {
   });
 }
 
+TEST_F(DirectoryTest, MapInstalledAfterComletsRepublishesThem) {
+  // Complets created before the plane is on were never published; the map
+  // install makes every hosting Core assert them to their new home shard.
+  auto cores = MakeCores(3);
+  std::vector<ComletId> ids;
+  for (std::size_t i = 0; i < 6; ++i)
+    ids.push_back(cores[i % 3]->New<Message>("early").target());
+  rt.EnableDirectory({cores[0]->id()});
+  rt.RunUntilIdle();
+  const auto& store = cores[0]->directory().store();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    auto it = store.find(ids[i]);
+    ASSERT_NE(it, store.end()) << i;
+    EXPECT_EQ(it->second.location, cores[i % 3]->id()) << i;
+  }
+}
+
 TEST_F(DirectoryTest, BroadcastMapReachesEveryPeer) {
   auto cores = MakeCores(4);
   rt.EnableDirectory({cores[0]->id()});

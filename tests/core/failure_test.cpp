@@ -7,9 +7,6 @@ namespace fargo::testing {
 namespace {
 
 class FailureTest : public FargoTest {};
-// For listeners that issue blocking moves from inside an event handler —
-// sim-only (the locality engine requires non-blocking handlers).
-class FailureSimTest : public FargoSimTest {};
 
 TEST_F(FailureTest, InvokeAcrossPartitionTimesOutThenRecovers) {
   auto cores = MakeCores(2);
@@ -88,7 +85,7 @@ TEST_F(FailureTest, ParkedRequestsTimeOutIfTheCompletNeverArrives) {
   EXPECT_THROW(ref.Call("text"), UnreachableError);
 }
 
-TEST_F(FailureSimTest, ShutdownDuringGraceStillServesMoves) {
+TEST_F(FailureTest, ShutdownDuringGraceStillServesMoves) {
   // During the grace window the dying core is fully operative: moves out
   // of it succeed even when requested mid-shutdown by a listener.
   auto cores = MakeCores(3);
@@ -97,10 +94,12 @@ TEST_F(FailureSimTest, ShutdownDuringGraceStillServesMoves) {
   a.Call("increment");
   b.Call("increment", {Value(2)});
   int moved = 0;
-  cores[0]->ListenAt(cores[1]->id(), monitor::EventKind::kCoreShutdown,
+  // The listener runs inside a task, on the dying core: it starts the
+  // moves without waiting for them.
+  cores[1]->ListenAt(cores[1]->id(), monitor::EventKind::kCoreShutdown,
                      [&](const monitor::Event&) {
                        for (ComletId id : cores[1]->ComletsHere()) {
-                         cores[1]->MoveId(id, cores[2]->id());
+                         cores[1]->MoveIdAsync(id, cores[2]->id());
                          ++moved;
                        }
                      });

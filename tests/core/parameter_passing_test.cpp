@@ -15,14 +15,20 @@ class BlobEater : public core::Anchor {
  public:
   static constexpr std::string_view kTypeName = "test.BlobEater";
   BlobEater() {
-    methods().Register("consume", [this](const std::vector<Value>& args) {
-      auto tree = core()->MaterializeObjectAs<TreeNode>(args.at(0).AsBlob());
-      last_value_ = tree->value;
-      shared_ = tree->left != nullptr && tree->left == tree->right;
-      // Use the embedded (degraded) ref if present.
-      if (tree->counter) tree->counter.Call("increment");
-      return Value(last_value_);
-    });
+    methods().Register(
+        "consume",
+        [this](const std::vector<Value>& args) -> sim::Future<Value> {
+          auto tree =
+              core()->MaterializeObjectAs<TreeNode>(args.at(0).AsBlob());
+          last_value_ = tree->value;
+          shared_ = tree->left != nullptr && tree->left == tree->right;
+          const Value result(last_value_);
+          // Use the embedded (degraded) ref if present.
+          if (!tree->counter)
+            return sim::MakeReadyFuture(core()->scheduler(), result);
+          return tree->counter.CallAsync("increment").Then(
+              [result](Value&) { return result; });
+        });
     methods().Register("produce", [this](const std::vector<Value>& args) {
       TreeNode root;
       root.value = args.at(0).AsInt();
@@ -58,13 +64,6 @@ class ParameterPassingTest : public FargoTest {
   ParameterPassingTest() { (void)kReg; }
 };
 
-// BlobEater.consume invokes the embedded ref synchronously from inside
-// its handler — the blocking idiom the locality engine rejects. Sim-pinned.
-class ParameterPassingSimTest : public FargoSimTest {
- protected:
-  ParameterPassingSimTest() { (void)kReg; }
-};
-
 TEST_F(ParameterPassingTest, ObjectGraphByValueAcrossTheWire) {
   auto cores = MakeCores(2);
   auto eater = cores[0]->New<BlobEater>();
@@ -92,7 +91,7 @@ TEST_F(ParameterPassingTest, CopyIsDeepTheSenderKeepsItsObject) {
   EXPECT_EQ(remote.Call("consume", {Value(blob)}).AsInt(), 1);
 }
 
-TEST_F(ParameterPassingSimTest, EmbeddedRefIsLiveAndCompletNotCopied) {
+TEST_F(ParameterPassingTest, EmbeddedRefIsLiveAndCompletNotCopied) {
   auto cores = MakeCores(3);
   auto counter = cores[2]->New<Counter>();  // lives at a third core
   auto eater = cores[0]->New<BlobEater>();

@@ -8,9 +8,7 @@
 namespace fargo::testing {
 namespace {
 
-// Scenario scripts drive blocking rule commands and Worker.work-style
-// nested synchronous invokes — sim-pinned (DESIGN.md §localities).
-class ScenarioTest : public FargoSimTest {};
+class ScenarioTest : public FargoTest {};
 
 TEST_F(ScenarioTest, ColocationCutsRequestLatency) {
   // A worker separated from its data source by a slow WAN link; colocating
@@ -189,15 +187,16 @@ TEST_F(ScenarioTest, LoadBalancingViaThresholdEvents) {
   // completLoad above threshold at a core triggers spreading complets to
   // the least-loaded core (API-level relocation programming, §4).
   auto cores = MakeCores(3);
-  core::Core& admin = *cores[0];
-  admin.ListenThresholdAt(
+  // The listener runs inside a task, on the busy core: it starts the
+  // moves without waiting for them.
+  cores[1]->ListenThresholdAt(
       cores[1]->id(), monitor::ComletLoadProbe(), 6.0,
       monitor::Trigger::kAbove, Millis(50), [&](const monitor::Event&) {
         core::Core* busy = rt.Find(cores[1]->id());
         std::vector<ComletId> here = busy->ComletsHere();
         // Move half of the complets away.
         for (std::size_t i = 0; i < here.size() / 2; ++i)
-          busy->MoveId(here[i], cores[2]->id());
+          busy->MoveIdAsync(here[i], cores[2]->id());
       });
   for (int i = 0; i < 10; ++i) cores[1]->New<Message>("m");
   rt.RunFor(Seconds(1));

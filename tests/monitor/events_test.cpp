@@ -15,9 +15,6 @@ using monitor::InvocationRateProbe;
 using monitor::Trigger;
 
 class EventsTest : public FargoTest {};
-// For listeners that run blocking moves/invokes inside the event handler
-// (evacuation, migration churn) — sim-only by design.
-class EventsSimTest : public FargoSimTest {};
 
 TEST_F(EventsTest, ArrivalAndDepartureFireOnMovement) {
   auto cores = MakeCores(2);
@@ -168,7 +165,7 @@ TEST_F(EventsTest, RemoteThresholdListener) {
   EXPECT_EQ(fires, 1);
 }
 
-TEST_F(EventsSimTest, CompletListenerSurvivesMigration) {
+TEST_F(EventsTest, CompletListenerSurvivesMigration) {
   // A complet registers for remote events, then migrates; it keeps
   // receiving them because delivery goes through its tracked reference.
   auto cores = MakeCores(3);
@@ -181,7 +178,8 @@ TEST_F(EventsSimTest, CompletListenerSurvivesMigration) {
   cores[0]->ListenAt(cores[0]->id(), EventKind::kComletArrived,
                      [&, ref = counter](const Event&) mutable {
                        // Invocation through the ref tracks the listener.
-                       cores[0]->RefFromHandle(ref.handle()).Call("increment");
+                       cores[0]->RefFromHandle(ref.handle())
+                           .CallAsync("increment");
                      });
   cores[0]->New<Message>("one");
   rt.RunUntilIdle();
@@ -194,17 +192,19 @@ TEST_F(EventsSimTest, CompletListenerSurvivesMigration) {
   EXPECT_EQ(counter.Invoke<std::int64_t>("get"), 2);
 }
 
-TEST_F(EventsSimTest, ShutdownEventEnablesEvacuation) {
+TEST_F(EventsTest, ShutdownEventEnablesEvacuation) {
   // The paper's reliability use case: on CoreShutdown, migrate complets to
   // a safe core to keep the application alive.
   auto cores = MakeCores(3);
   auto m1 = cores[1]->New<Message>("a");
   auto m2 = cores[1]->New<Message>("b");
-  cores[0]->ListenAt(cores[1]->id(), EventKind::kCoreShutdown,
+  // A listener runs inside a task: it starts the moves and returns. It
+  // listens on the dying core itself, whose complets it moves.
+  cores[1]->ListenAt(cores[1]->id(), EventKind::kCoreShutdown,
                      [&](const Event& e) {
                        core::Core* dying = rt.Find(e.source);
                        for (ComletId id : dying->ComletsHere())
-                         dying->MoveId(id, cores[2]->id());
+                         dying->MoveIdAsync(id, cores[2]->id());
                      });
   cores[1]->Shutdown(Millis(500));
   rt.RunUntilIdle();
@@ -218,7 +218,7 @@ TEST_F(EventsSimTest, ShutdownEventEnablesEvacuation) {
   EXPECT_EQ(survivor.Call("text").AsString(), "a");
 }
 
-TEST_F(EventsSimTest, GracefulShutdownFlushesForwardingKnowledge) {
+TEST_F(EventsTest, GracefulShutdownFlushesForwardingKnowledge) {
   // Chains that pass through a gracefully shut-down core keep resolving:
   // the dying core broadcasts its tracker knowledge before detaching.
   auto cores = MakeCores(4);
@@ -226,11 +226,13 @@ TEST_F(EventsSimTest, GracefulShutdownFlushesForwardingKnowledge) {
   auto observer = cores[3]->RefTo<Message>(msg.handle());  // hint: core1
   (void)observer;
   // msg evacuates itself when core1 announces shutdown.
-  cores[0]->ListenAt(cores[1]->id(), EventKind::kCoreShutdown,
+  // A listener runs inside a task: it starts the moves and returns. It
+  // listens on the dying core itself, whose complets it moves.
+  cores[1]->ListenAt(cores[1]->id(), EventKind::kCoreShutdown,
                      [&](const Event& e) {
                        core::Core* dying = rt.Find(e.source);
                        for (ComletId id : dying->ComletsHere())
-                         dying->MoveId(id, cores[2]->id());
+                         dying->MoveIdAsync(id, cores[2]->id());
                      });
   cores[1]->Shutdown(Millis(500));
   rt.RunUntilIdle();

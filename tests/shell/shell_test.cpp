@@ -124,14 +124,15 @@ TEST_F(ShellTest, DirReportsPlacementAndShards) {
   EXPECT_FALSE(has(s, "shard @core0")) << s;
   EXPECT_FALSE(has(s, "shard @core2")) << s;
 
-  // Ring placement over core0: every live Core's store is listed.
+  // Ring placement over core0: every live Core's store is listed, and the
+  // install re-asserted `first` to its new home shard.
   rt.EnableDirectory({cores[0]->id()});
   cores[2]->New<Message>("second");
   rt.RunUntilIdle();
   s = Run("dir");
   EXPECT_TRUE(has(s, "placement=ring map_version=2 shards=1 vnodes=16\n"))
       << s;
-  EXPECT_TRUE(has(s, "  shard @core0: entries=1\n")) << s;
+  EXPECT_TRUE(has(s, "  shard @core0: entries=2\n")) << s;
   EXPECT_TRUE(has(s, "  shard @core1: entries=1\n")) << s;
   EXPECT_TRUE(has(s, "  shard @core2: entries=0\n")) << s;
   EXPECT_TRUE(has(s, "publishes=")) << s;

@@ -223,35 +223,18 @@ TEST(FutureTest, CancelSettlesWithError) {
   EXPECT_THROW(f.Take(), FargoError);
 }
 
-// ---- pump-depth accounting --------------------------------------------------
+// ---- the pump guard -----------------------------------------------------------
 
-TEST(PumpDepthTest, TopLevelPumpIsDepthOne) {
-  SimScheduler sched;
-  sched.ScheduleAfter(1, [] {});
-  EXPECT_EQ(sched.PumpDepth(), 0);
-  sched.RunUntilIdle();
-  EXPECT_EQ(sched.MaxPumpDepth(), 1);
-}
-
-TEST(PumpDepthTest, NestedPumpInsideAnEventIsDepthTwo) {
-  SimScheduler sched;
-  sched.ScheduleAfter(1, [&sched] {
-    EXPECT_EQ(sched.PumpDepth(), 1);
-    Promise<int> p(sched);
-    sched.ScheduleAfter(1, [&p] { p.Resolve(1); });
-    Await(p.future());  // re-entrant pump (legal outside no-pump sections)
-  });
-  sched.RunUntilIdle();
-  EXPECT_EQ(sched.MaxPumpDepth(), 2);
-}
-
-TEST(PumpDepthTest, NoPumpScopeForbidsReentrantPumping) {
+TEST(PumpGuardTest, AwaitInsideATaskThrows) {
+  // A task that blocks on a future pumps from inside the pump: it throws,
+  // whether or not the future could settle.
   SimScheduler sched;
   bool threw = false;
   sched.ScheduleAfter(1, [&] {
-    Scheduler::NoPumpScope guard(sched);
+    Promise<int> p(sched);
+    sched.ScheduleAfter(1, [p]() mutable { p.Resolve(1); });
     try {
-      sched.RunUntilIdle();
+      Await(p.future());
     } catch (const FargoError&) {
       threw = true;
     }
@@ -260,19 +243,10 @@ TEST(PumpDepthTest, NoPumpScopeForbidsReentrantPumping) {
   EXPECT_TRUE(threw);
 }
 
-TEST(PumpDepthTest, PumpObserverSeesDepth) {
+TEST(PumpGuardTest, NoPumpScopeForbidsPumping) {
   SimScheduler sched;
-  int max_seen = 0;
-  sched.SetPumpObserver([&max_seen](int d) {
-    if (d > max_seen) max_seen = d;
-  });
-  sched.ScheduleAfter(1, [&sched] {
-    Promise<int> p(sched);
-    sched.ScheduleAfter(1, [&p] { p.Resolve(1); });
-    Await(p.future());
-  });
-  sched.RunUntilIdle();
-  EXPECT_EQ(max_seen, 2);
+  Scheduler::NoPumpScope guard(sched);
+  EXPECT_THROW(sched.RunUntilIdle(), FargoError);
 }
 
 }  // namespace

@@ -123,7 +123,6 @@ TEST_P(SchedulerContractTest, RunForAdvancesClockExactly) {
 TEST_P(SchedulerContractTest, RunUntilThrowsOnDrain) {
   s().ScheduleAfter(Millis(1), [] {});
   EXPECT_THROW(s().RunUntil([] { return false; }), FargoError);
-  EXPECT_EQ(s().PumpDepth(), 0);
 }
 
 TEST_P(SchedulerContractTest, RunUntilOrTimesOut) {
@@ -168,12 +167,37 @@ TEST_P(SchedulerContractTest, NoPumpScopeRejectsEveryPump) {
   EXPECT_THROW(s().RunUntil([] { return true; }), FargoError);
   EXPECT_THROW(s().RunUntilOr([] { return true; }, 10), FargoError);
   EXPECT_THROW(s().RunFor(10), FargoError);
-  EXPECT_EQ(s().PumpDepth(), 0);
   EXPECT_EQ(s().executed(), 0u);
 }
 
+TEST_P(SchedulerContractTest, TasksMayNotPump) {
+  // Pumping is a conductor privilege under both engines: a task that calls
+  // any pump throws, and the pump that ran it carries on.
+  int threw = 0;
+  s().ScheduleAt(1, [&] {
+    s().ScheduleAt(2, [] {});
+    try {
+      s().RunUntilIdle();
+    } catch (const FargoError&) {
+      ++threw;
+    }
+    try {
+      s().RunUntil([] { return true; });
+    } catch (const FargoError&) {
+      ++threw;
+    }
+  });
+  s().RunUntilIdle();
+  EXPECT_EQ(threw, 2);
+  EXPECT_EQ(s().executed(), 2u);
+  // Back on the conductor, pumping is legal again.
+  s().ScheduleAt(3, [] {});
+  s().RunUntilIdle();
+  EXPECT_EQ(s().executed(), 3u);
+}
+
 // Sim-only behavior: RunOne runs one task (the locality engine runs one
-// timestamp, parallel_sched_test), and a task may pump.
+// timestamp, parallel_sched_test).
 
 TEST(SchedulerTest, RunOneRunsOneTask) {
   SimScheduler s;
@@ -186,21 +210,6 @@ TEST(SchedulerTest, RunOneRunsOneTask) {
   EXPECT_EQ(ran, 2);
   EXPECT_FALSE(s.RunOne());
   EXPECT_EQ(s.Now(), Millis(5));
-}
-
-TEST(SchedulerTest, NestedPumpingWorks) {
-  // An event that itself pumps the scheduler (blocking-RPC pattern).
-  SimScheduler s;
-  bool inner_done = false;
-  bool outer_done = false;
-  s.ScheduleAfter(Millis(1), [&] {
-    s.ScheduleAfter(Millis(1), [&] { inner_done = true; });
-    s.RunUntil([&] { return inner_done; });
-    outer_done = true;
-  });
-  s.RunUntilIdle();
-  EXPECT_TRUE(inner_done);
-  EXPECT_TRUE(outer_done);
 }
 
 TEST(PeriodicTaskTest, FiresAtInterval) {

@@ -14,14 +14,9 @@ namespace fargo::testing {
 
 class FargoTest : public ::testing::Test {
  protected:
-  /// `localities` pins the scheduling engine: -1 (default) follows the
-  /// FARGO_PARALLEL environment variable — the whole suite runs under the
-  /// locality engine when CI exports it — 0 forces the deterministic sim
-  /// (tests asserting exact sim interleavings), N forces N workers.
-  explicit FargoTest(int localities = -1)
-      : rt(core::RuntimeOptions{localities}) {
-    RegisterTestComlets();
-  }
+  /// The engine follows the FARGO_PARALLEL environment variable: the
+  /// whole suite runs under the locality engine when CI exports it.
+  FargoTest() { RegisterTestComlets(); }
 
   /// On failure, dumps the runtime's span buffers as Chrome-trace JSON next
   /// to the test binary (<Suite>_<Test>.trace.json) so CI can attach the
@@ -53,17 +48,6 @@ class FargoTest : public ::testing::Test {
   }
 
   core::Runtime rt;
-};
-
-/// Pinned to the deterministic sim engine regardless of FARGO_PARALLEL.
-/// For tests whose *workload* uses the blocking in-handler idiom — nested
-/// synchronous Invoke from a comlet method, script rule commands, listeners
-/// that move complets synchronously. The locality engine rejects those by
-/// design (handlers are non-blocking state machines; a worker pump throws),
-/// so the idiom itself is sim-only. See DESIGN.md §localities.
-class FargoSimTest : public FargoTest {
- protected:
-  FargoSimTest() : FargoTest(0) {}
 };
 
 }  // namespace fargo::testing

@@ -317,6 +317,45 @@ void Below(sim::Scheduler& s) {
   }
 }
 
+TEST(NoPump, FlagsSyncCallInsideAComletMethod) {
+  // A complet method runs inside a task: a sync Call there pumps.
+  const std::string src = R"(Worker::Worker() {
+  methods().Register("work", [this](const std::vector<Value>&) {
+    return data_.Call("read");
+  });
+}
+)";
+  auto fs = Lint1("examples/x.cpp", src);
+  EXPECT_TRUE(Has(fs, "no-pump", LineOf(src, "data_.Call"))) << Dump(fs);
+  // Register lambdas are not continuations: `this` is the anchor's own.
+  EXPECT_EQ(CountRule(fs, "capture-this"), 0) << Dump(fs);
+}
+
+TEST(NoPump, AsyncCallInsideAComletMethodIsClean) {
+  const std::string src = R"(Worker::Worker() {
+  methods().Register("work", [this](const std::vector<Value>&)
+                                 -> sim::Future<Value> {
+    return data_.CallAsync("read");
+  });
+}
+)";
+  EXPECT_EQ(CountRule(Lint1("examples/x.cpp", src), "no-pump"), 0);
+}
+
+TEST(NoPump, FlagsBlockingCallsInsideAListener) {
+  const std::string src = R"(void F(Core& admin, Core& node, Core& safe) {
+  admin.ListenAt(node.id(), EventKind::kCoreShutdown, [&](const Event&) {
+    node.MoveId(id, safe.id());
+    node.ResolveLocation(ref);
+  });
+}
+)";
+  auto fs = Lint1("tests/support/x.cpp", src);
+  EXPECT_TRUE(Has(fs, "no-pump", LineOf(src, "node.MoveId"))) << Dump(fs);
+  EXPECT_TRUE(Has(fs, "no-pump", LineOf(src, "node.ResolveLocation")))
+      << Dump(fs);
+}
+
 TEST(NoPump, SuppressedWithReason) {
   const std::string src = R"(void F(sim::Future<int> f, Core& core) {
   f.Then([&core](int v) {

@@ -49,10 +49,13 @@ class Payload : public core::Anchor {
       peer_ = core()->RefFromHandle(args.at(0).AsHandle());
       return Value();
     });
-    methods().Register("chat", [this](const std::vector<Value>&) {
-      if (!peer_) return Value();
-      return peer_.Call("ping");
-    });
+    methods().Register("chat",
+                       [this](const std::vector<Value>&) -> sim::Future<Value> {
+                         if (!peer_)
+                           return sim::MakeReadyFuture(core()->scheduler(),
+                                                       Value());
+                         return peer_.CallAsync("ping");
+                       });
   }
   std::string_view TypeName() const override { return kTypeName; }
   void Serialize(serial::GraphWriter& w) const override {
@@ -203,13 +206,13 @@ int main(int argc, char** argv) {
     }
     from->second.Call("peer", {Value(to->second.handle())});
     const auto interval = static_cast<SimTime>(1e9 / t.per_second);
+    // The generator calls through an admin-held ref: home it on admin.
+    sim::Scheduler::AffinityScope home(admin.id().value);
     generators.push_back(std::make_unique<sim::PeriodicTask>(
         rt.scheduler(), interval, [ref = from->second] {
-          try {
-            ref.Call("chat");
-          } catch (const FargoError&) {
-            // transient unreachability: the generator keeps going
-          }
+          // Fire and forget: a transiently unreachable peer only rejects
+          // this chat's future, and the generator keeps going.
+          ref.CallAsync("chat");
         }));
   }
 

@@ -1,7 +1,9 @@
 // Async family: scheduled-continuation hygiene. Continuations outlive the
 // stack that created them, so default reference captures and bare `this`
-// are lifetime bugs in waiting, and pumping the event loop from inside a
-// continuation deadlocks the single-threaded scheduler.
+// are lifetime bugs in waiting. Pumping the event loop from inside a task
+// throws at run time (PumpGuard); the no-pump rule is its static twin over
+// every closure that runs as a task: continuations, complet methods and
+// event listeners.
 #include "tools/fargolint/rules.h"
 
 namespace fargolint {
@@ -24,16 +26,33 @@ void CheckBlockingCallsIn(const FileCtx& f, std::size_t begin, std::size_t end,
 
 void CheckContinuations(const FileCtx& f, std::vector<Finding>& out) {
   const std::vector<Token>& t = f.lx.toks;
-  auto in_sink = [&](std::size_t i) {
-    for (const Span& s : f.sink_spans)
+  // Closures that become task bodies of their own without being scheduled
+  // continuations: complet methods and event listeners.
+  static const std::set<std::string> kTaskBodies = {
+      "Register", "Listen", "ListenAt", "ListenThreshold", "ListenThresholdAt"};
+  std::vector<Span> task_spans;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i)
+    if (t[i].kind == Tok::kIdent && kTaskBodies.count(t[i].text) > 0 &&
+        IsPunct(t[i + 1], "("))
+      task_spans.push_back({i + 1, MatchingClose(t, i + 1)});
+  auto in_any = [](const std::vector<Span>& spans, std::size_t i) {
+    for (const Span& s : spans)
       if (s.Contains(i)) return true;
     return false;
   };
 
   for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!IsPunct(t[i], "[") || !IsLambdaIntro(t, i) || !in_sink(i)) continue;
+    if (!IsPunct(t[i], "[") || !IsLambdaIntro(t, i)) continue;
+    const bool sink = in_any(f.sink_spans, i);
+    if (!sink && !in_any(task_spans, i)) continue;
     Lambda lam = ParseLambda(t, i);
     if (lam.body_open == 0) continue;  // not actually a lambda
+    // -- body: no blocking calls inside a task -----------------------------
+    CheckBlockingCallsIn(f, lam.body_open, lam.body_close,
+                         sink ? "inside a scheduled continuation"
+                              : "inside a complet method or listener",
+                         out);
+    if (!sink) continue;
 
     // -- capture list inspection ------------------------------------------
     bool has_keepalive = false;
@@ -69,10 +88,6 @@ void CheckContinuations(const FileCtx& f, std::vector<Finding>& out) {
              ExcerptAt(f.lx, t[j].line)});
       }
     }
-
-    // -- body: no blocking calls inside a continuation ---------------------
-    CheckBlockingCallsIn(f, lam.body_open, lam.body_close,
-                         "inside a scheduled continuation", out);
   }
 
   // -- declared no-pump region -------------------------------------------
@@ -101,16 +116,18 @@ const std::set<std::string>& SinkNames() {
 
 const std::set<std::string>& BlockingNames() {
   static const std::set<std::string> kBlocking = {
-      "Invoke", "Move",       "Await",        "Pump",   "PumpUntil",
-      "RunUntil", "RunUntilOr", "RunUntilIdle", "RunFor", "RunOne"};
+      "Invoke", "Call", "Move", "MoveId", "Await", "Pump", "PumpUntil",
+      "RunUntil", "RunUntilOr", "RunUntilIdle", "RunFor", "RunOne",
+      "ResolveLocation", "LookupAt", "NewRemote", "SendAndAwait", "Shutdown"};
   return kBlocking;
 }
 
 std::vector<RuleInfo> AsyncRules() {
   return {
       {"no-pump",
-       "blocking call (Invoke/Move/Await/Pump/RunUntil/...) inside a scheduled "
-       "continuation or a declared no-pump region"},
+       "blocking call (Invoke/Call/Move/Await/RunUntil/...) inside a "
+       "scheduled continuation, a complet method, an event listener or a "
+       "declared no-pump region"},
       {"capture-ref",
        "default reference capture [&] in a lambda handed to the scheduler or "
        "future layer"},
