@@ -81,6 +81,11 @@ void TrackerTable::Stamp(ComletId id, std::uint64_t hint_epoch) {
   }
 }
 
+std::uint64_t TrackerTable::HostedStamp(ComletId id) const {
+  const TrackerEntry* e = Find(id);
+  return e != nullptr && e->is_local() ? e->hint_epoch : 0;
+}
+
 void TrackerTable::AddStubRef(ComletId id) {
   if (TrackerEntry* e = Find(id)) ++e->stub_refs;
 }

@@ -73,6 +73,9 @@ class TrackerTable {
   /// publish). No-op when the entry is absent or already newer.
   void Stamp(ComletId id, std::uint64_t hint_epoch);
 
+  /// The hint epoch of a complet hosted here; 0 when it is not hosted here.
+  std::uint64_t HostedStamp(ComletId id) const;
+
   void AddStubRef(ComletId id);
   void DropStubRef(ComletId id);
 
