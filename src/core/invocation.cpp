@@ -353,7 +353,8 @@ void InvocationUnit::SendAttempt(AsyncCall& call) {
 
 // Settling a call drops its arguments: every attempt has encoded or
 // dispatched them already, and the cancelled attempt timer — which holds
-// `call` until it is due — must not keep them alive for an RPC timeout.
+// `call` until the scheduler's next queue compaction — must not keep them
+// alive meanwhile.
 void InvocationUnit::FinalizeOk(AsyncCall& call, InvokeResult res) {
   call.req.args = std::vector<Value>();
   const SimTime now = core_.scheduler().Now();

@@ -55,11 +55,13 @@ struct ParallelScheduler::Outbox {
     tasks.push_back(std::move(t));
   }
 
-  /// Drops the task `id` if it is here; returns whether it was.
+  /// Drops the task `id` if it is here; returns whether it was. Its
+  /// closure is destroyed last: the destructor may schedule or cancel.
   bool Erase(TaskId id) {
     auto it = std::find_if(tasks.begin(), tasks.end(),
                            [id](const Task& t) { return t.id == id; });
     if (it == tasks.end()) return false;
+    const Task dead = std::move(*it);
     tasks.erase(it);
     min_at = kNoDue;
     for (const Task& t : tasks) min_at = std::min(min_at, t.at);

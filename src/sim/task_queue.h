@@ -1,6 +1,16 @@
 // The one task queue behind both scheduler engines: a binary heap in the
 // task-ordering key plus a set of cancel tombstones.
 //
+// Cancel contract: a cancelled task never runs, and its closure is
+// destroyed within a bounded number of later cancels. Cancel only
+// tombstones; once the cancels since the last compaction pass half the
+// heap (and a small floor), the queue moves the tombstoned tasks out,
+// re-heaps the survivors and only then destroys the moved-out closures,
+// since a closure's destructor may schedule or cancel here again. That
+// keeps Cancel amortized O(1). The key is a strict total order, so the
+// heap's layout never shows in the pop order. A tombstone of a task that
+// already ran stays in the set and is not counted twice.
+//
 // Ordering key: (at, producer clock at production, production round at
 // that clock, local before handoff, producer rank, append order). The
 // locality engine fills every field (parallel_sched.h). The sim engine is a
@@ -11,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <unordered_set>
 #include <vector>
@@ -56,8 +67,11 @@ class TaskQueue {
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
-  /// Tombstones `id`; a no-op for an id that already ran.
-  void Cancel(TaskId id) { cancelled_.insert(id); }
+  /// Tombstones `id`; a no-op for an id that already ran. May compact.
+  void Cancel(TaskId id) {
+    if (!cancelled_.insert(id).second) return;
+    if (++cancels_ > std::max(kCompactFloor, heap_.size() / 2)) Compact();
+  }
 
   /// Moves the first live task due by `limit` into `out`, dropping the
   /// cancelled ones before it. False when none is due.
@@ -67,6 +81,7 @@ class TaskQueue {
       out = std::move(heap_.back());
       heap_.pop_back();
       if (cancelled_.erase(out.id) == 0) return true;
+      out.fn = nullptr;  // destroyed while the queue is consistent
     }
     return false;
   }
@@ -76,6 +91,7 @@ class TaskQueue {
   SimTime NextAt() {
     while (!heap_.empty() && cancelled_.erase(heap_.front().id) != 0) {
       std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      const std::function<void()> dead = std::move(heap_.back().fn);
       heap_.pop_back();
     }
     return heap_.empty() ? kNoDue : heap_.front().at;
@@ -94,9 +110,27 @@ class TaskQueue {
   void Clear() {
     heap_ = {};
     cancelled_.clear();
+    cancels_ = 0;
   }
 
  private:
+  static constexpr std::size_t kCompactFloor = 64;
+
+  /// Drops every tombstoned task and its tombstone, re-heaps the rest, and
+  /// destroys the dropped closures last.
+  void Compact() {
+    cancels_ = 0;
+    const auto dead =
+        std::partition(heap_.begin(), heap_.end(), [this](const Task& t) {
+          return cancelled_.count(t.id) == 0;
+        });
+    std::vector<Task> doomed(std::make_move_iterator(dead),
+                             std::make_move_iterator(heap_.end()));
+    heap_.erase(dead, heap_.end());
+    for (const Task& t : doomed) cancelled_.erase(t.id);
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
+  }
+
   /// Heap order in the ordering key: true when `a` runs after `b`.
   struct Later {
     bool operator()(const Task& a, const Task& b) const {
@@ -120,6 +154,7 @@ class TaskQueue {
 
   std::vector<Task> heap_;
   std::unordered_set<TaskId> cancelled_;
+  std::size_t cancels_ = 0;  ///< tombstones added since the last Compact
 };
 
 }  // namespace fargo::sim
