@@ -49,26 +49,26 @@ void Span::SetName(std::string_view n) {
 
 std::string_view Span::name_view() const { return std::string_view(name); }
 
-TraceBuffer::TraceBuffer(std::size_t capacity) {
-  ring_.resize(std::max<std::size_t>(capacity, 1));
-}
+TraceBuffer::TraceBuffer(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(capacity, 1)) {}
 
 std::uint64_t TraceBuffer::Add(const Span& s) {
+  if (ring_.empty()) ring_.resize(capacity_);
   const std::uint64_t token = next_token_++;
-  Span& slot = ring_[token % ring_.size()];
+  Span& slot = ring_[token % capacity_];
   slot = s;
   slot.token = token;
   return token;
 }
 
 Span* TraceBuffer::Find(std::uint64_t token) {
-  if (token == 0) return nullptr;
-  Span& slot = ring_[token % ring_.size()];
+  if (token == 0 || ring_.empty()) return nullptr;
+  Span& slot = ring_[token % capacity_];
   return slot.token == token ? &slot : nullptr;
 }
 
 std::size_t TraceBuffer::size() const {
-  return std::min<std::uint64_t>(total_added(), ring_.size());
+  return std::min<std::uint64_t>(total_added(), capacity_);
 }
 
 std::uint64_t TraceBuffer::evicted() const {
@@ -80,15 +80,15 @@ std::vector<Span> TraceBuffer::Snapshot() const {
   const std::size_t n = size();
   out.reserve(n);
   for (std::uint64_t token = next_token_ - n; token < next_token_; ++token) {
-    const Span& slot = ring_[token % ring_.size()];
+    const Span& slot = ring_[token % capacity_];
     if (slot.token == token) out.push_back(slot);
   }
   return out;
 }
 
 void TraceBuffer::Reset(std::size_t capacity) {
-  const std::size_t n = capacity == 0 ? ring_.size() : capacity;
-  ring_.assign(std::max<std::size_t>(n, 1), Span{});
+  if (capacity != 0) capacity_ = capacity;
+  ring_ = {};
   next_token_ = 1;
 }
 

@@ -81,6 +81,8 @@ struct Span {
 
 /// Fixed-capacity ring of spans. Tokens are monotonically increasing; a
 /// span stays addressable by token until `capacity` newer spans evict it.
+/// The ring is allocated by the first Add and freed by Reset, so a Core
+/// that never traces holds no ring.
 class TraceBuffer {
  public:
   explicit TraceBuffer(std::size_t capacity = 8192);
@@ -95,15 +97,17 @@ class TraceBuffer {
   std::vector<Span> Snapshot() const;
 
   std::size_t size() const;
-  std::size_t capacity() const { return ring_.size(); }
+  std::size_t capacity() const { return capacity_; }
   std::uint64_t total_added() const { return next_token_ - 1; }
   std::uint64_t evicted() const;
 
-  /// Drops all recorded spans; `capacity = 0` keeps the current size.
+  /// Drops all recorded spans and frees the ring; `capacity = 0` keeps the
+  /// current capacity.
   void Reset(std::size_t capacity = 0);
 
  private:
-  std::vector<Span> ring_;
+  std::size_t capacity_;
+  std::vector<Span> ring_;  ///< empty until the first Add
   std::uint64_t next_token_ = 1;  ///< token 0 = "no span"
 };
 

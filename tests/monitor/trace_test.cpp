@@ -9,6 +9,8 @@
 #include <map>
 #include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/core/heartbeat.h"
 #include "tests/support/fixture.h"
@@ -121,6 +123,48 @@ TEST(TracerTest, CloseAfterEvictionIsANoop) {
   EXPECT_EQ(t.buffer().Find(old.token), nullptr);
   t.CloseSpan(old.token, 3, SpanOutcome::kOk);  // must not touch the new slot
   EXPECT_EQ(t.buffer().Snapshot().back().name_view(), "c");
+}
+
+// The ring is allocated by the first span and freed by Reset: a Core that
+// never traces behaves as one with an empty ring of its configured size.
+TEST(TracerTest, RingLivesFromFirstSpanUntilReset) {
+  Tracer t(CoreId{1}, /*capacity=*/4);
+  EXPECT_EQ(t.OpenSpan(SpanKind::kRoot, "off", {}, 0).token, 0u);
+  EXPECT_EQ(t.buffer().capacity(), 4u);
+  EXPECT_EQ(t.buffer().size(), 0u);
+  EXPECT_EQ(t.buffer().Find(1), nullptr);
+  EXPECT_TRUE(t.buffer().Snapshot().empty());
+
+  t.SetEnabled(true);
+  std::vector<std::uint64_t> tokens;
+  for (int i = 0; i < 6; ++i) {
+    Tracer::Opened o = t.OpenSpan(SpanKind::kRoot, std::to_string(i), {}, i);
+    t.CloseSpan(o.token, i + 1, SpanOutcome::kOk);
+    tokens.push_back(o.token);
+  }
+  EXPECT_EQ(tokens.front(), 1u);
+  EXPECT_EQ(t.buffer().size(), 4u);
+  EXPECT_EQ(t.buffer().evicted(), 2u);
+  EXPECT_EQ(t.buffer().Find(tokens[1]), nullptr);
+  ASSERT_NE(t.buffer().Find(tokens[5]), nullptr);
+  EXPECT_EQ(t.buffer().Find(tokens[5])->outcome, SpanOutcome::kOk);
+  std::vector<Span> snap = t.buffer().Snapshot();
+  ASSERT_EQ(snap.size(), 4u);
+  EXPECT_EQ(snap.front().name_view(), "2");
+  EXPECT_EQ(snap.back().name_view(), "5");
+
+  t.buffer().Reset();
+  EXPECT_EQ(t.buffer().capacity(), 4u);
+  EXPECT_EQ(t.buffer().size(), 0u);
+  EXPECT_EQ(t.buffer().total_added(), 0u);
+  EXPECT_EQ(t.buffer().Find(tokens[5]), nullptr);
+  EXPECT_TRUE(t.buffer().Snapshot().empty());
+
+  Tracer::Opened again = t.OpenSpan(SpanKind::kRoot, "again", {}, 10);
+  EXPECT_EQ(again.token, 1u);
+  ASSERT_NE(t.buffer().Find(again.token), nullptr);
+  EXPECT_EQ(t.buffer().Snapshot().back().name_view(), "again");
+  EXPECT_EQ(t.buffer().size(), 1u);
 }
 
 TEST(TracerTest, LongNamesAreClamped) {
