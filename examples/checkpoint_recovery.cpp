@@ -1,11 +1,12 @@
 // Crash recovery with persistence + the home registry (§7 future work,
 // both implemented as extensions; see DESIGN.md).
 //
-// An order-processing service is periodically checkpointed. Its host core
-// crashes without warning; the operator restores the checkpoint on a
-// standby core. Clients that located the service through the home registry
-// keep working transparently; state since the last checkpoint is lost
-// (documented at-checkpoint consistency).
+// An order-processing service runs on a durable host core, whose WAL
+// checkpoints it. The host crashes without warning; the operator has a
+// standby core adopt the crashed core's last checkpoint. Clients that
+// located the service through the home registry keep working
+// transparently; state since the last checkpoint is lost (documented
+// at-checkpoint consistency).
 //
 // Build & run:  ./build/examples/checkpoint_recovery
 #include <cstdio>
@@ -56,6 +57,8 @@ int main() {
   core::Core& primary = rt.CreateCore("primary");
   core::Core& standby = rt.CreateCore("standby");
   rt.network().SetDefaultLink({fargo::Millis(10), 1.25e6, true});
+  // The host is durable; this demo takes its checkpoint by hand.
+  core::Wal& wal = primary.EnableWal(/*checkpoint_interval=*/0);
 
   std::printf("== FarGo checkpoint & crash recovery ==\n");
 
@@ -70,9 +73,13 @@ int main() {
   std::printf("placed 5 orders; book at %s\n",
               ToString(registry.ResolveLocation(book)).c_str());
 
-  // Periodic checkpoint of the primary host.
-  std::vector<std::uint8_t> checkpoint = core::SaveCoreImage(primary);
-  std::printf("checkpoint taken: %zu bytes\n", checkpoint.size());
+  // Checkpoint the primary host; it is durable once its write barrier
+  // settles. (With an interval, EnableWal checkpoints periodically.)
+  wal.Checkpoint();
+  rt.RunUntilIdle();
+  const auto checkpoint =
+      rt.storage().GetBlob(core::CheckpointBlobName(primary.name()));
+  std::printf("checkpoint taken: %zu bytes\n", checkpoint->size());
 
   // Two more orders arrive after the checkpoint... then the host dies.
   book.Call("place", {Value("order-5")});
@@ -89,9 +96,10 @@ int main() {
     std::printf("client sees: %s\n", e.what());
   }
 
-  // Operator restores the checkpoint on the standby core. Install reports
-  // the new location to the complet's home, healing client references.
-  core::LoadCoreImage(standby, checkpoint);
+  // The standby adopts the crashed primary's checkpoint. Each adopted
+  // complet reports its new location to its home, healing client
+  // references.
+  standby.AdoptCheckpoint(primary.id());
   rt.RunUntilIdle();
   std::printf("checkpoint restored at standby\n");
 

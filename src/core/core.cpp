@@ -973,6 +973,42 @@ Wal& Core::EnableWal(SimTime checkpoint_interval) {
   return *wal_;
 }
 
+std::vector<ComletId> Core::AdoptCheckpoint(CoreId crashed) {
+  sim::Scheduler::AffinityScope aff(id_.value);
+  Core* source = runtime_.Find(crashed);
+  if (source == nullptr) throw FargoError("no core " + ToString(crashed));
+  if (source->alive())
+    throw FargoError("core " + source->name() +
+                     " is alive: adopting its checkpoint would make a second "
+                     "live copy of its complets");
+  std::optional<std::vector<std::uint8_t>> blob =
+      runtime_.storage().GetBlob(CheckpointBlobName(source->name()));
+  if (!blob)
+    throw FargoError("core " + source->name() + " has no durable checkpoint");
+  const CheckpointRecords ckpt = DecodeCheckpoint(*blob);
+
+  std::vector<ComletId> adopted;
+  for (const WalRecord& rec : ckpt.records) {
+    if (rec.kind == kWalInstall) {
+      if (repository_.Contains(rec.comlet)) {
+        LogWarn() << name_ << ": adopt skipped " << ToString(rec.comlet)
+                  << ", already hosted here (live copy kept)";
+        continue;
+      }
+      std::shared_ptr<Anchor> anchor =
+          DecodeComletImage(*this, rec.comlet, rec.image);
+      anchor->PreArrival();
+      Install(anchor);
+      anchor->PostArrival();
+      adopted.push_back(rec.comlet);
+    } else if (rec.kind == kWalBind) {
+      if (wal_) wal_->AppendBind(rec.name, rec.handle);
+      naming_.Bind(rec.name, rec.handle);
+    }
+  }
+  return adopted;
+}
+
 void Core::RestoreComlet(ComletId id, const std::vector<std::uint8_t>& image) {
   std::shared_ptr<Anchor> anchor = DecodeComletImage(*this, id, image);
   repository_.Remove(id);  // later records replace earlier replayed images

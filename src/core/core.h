@@ -213,6 +213,14 @@ class Core {
   Wal& EnableWal(SimTime checkpoint_interval = Millis(250));
   /// The write-ahead log, or nullptr for a non-durable Core.
   Wal* wal() { return wal_.get(); }
+  /// Standby restore: installs the complets and name bindings of the
+  /// crashed Core's last durable checkpoint here, as arrivals (hooks,
+  /// completArrived, a publish to each home shard, so the directory heals
+  /// client references). Ids already hosted here keep their live copy and
+  /// are logged, not adopted. Returns the adopted ids. Never pumps. Throws
+  /// FargoError if `crashed` is alive (a second live copy) or has no
+  /// checkpoint, serial::SerialError on a malformed one.
+  std::vector<ComletId> AdoptCheckpoint(CoreId crashed);
 
   /// Bumped by every Crash(). Continuations that straddle a write barrier
   /// capture this and bail out if the Core restarted underneath them.

@@ -1,15 +1,15 @@
-// Complet persistence (§7 future work): the one image codec for the
-// complets hosted at a Core. A byte image can be restored later — possibly
-// at a different Core (crash recovery, cold migration). The WAL stores its
-// checkpoints in this format (src/core/wal.h); the simulator itself never
-// writes host files.
+// Complet persistence (§7 future work): the complet graph codec. One hosted
+// complet's closure becomes a byte image that can be rebuilt later, at the
+// same Core (WAL recovery) or at another (a standby adopting a crashed
+// Core's checkpoint, Core::AdoptCheckpoint). The WAL's install and state
+// records carry these images, and a checkpoint is a compacted prefix of
+// such records (src/core/wal.h); the simulator itself never writes host
+// files.
 //
-// The image preserves complet identities, closures (with aliasing), the
-// relocation semantics of every outgoing reference (with best routing
-// hints), and the Core's name bindings. Restoring installs the complets
-// like arrivals: trackers go local, completArrived fires, parked requests
-// drain, and — with the directory plane on — the home shards learn the new
-// location, so stale references recover.
+// An image preserves the complet's closure (with aliasing) and the
+// relocation semantics of every outgoing reference, with this Core's best
+// routing hint. Identity and name bindings travel in the enclosing WAL
+// records.
 #pragma once
 
 #include <memory>
@@ -20,29 +20,15 @@
 
 namespace fargo::core {
 
-/// Serializes one hosted complet's closure — the graph body of an image
-/// entry, without the id/type header. Shared by core images and the WAL
-/// (install and post-dispatch state records).
+/// Serializes one hosted complet's closure, without its id and type (the
+/// WAL install and post-dispatch state records carry those).
 std::vector<std::uint8_t> EncodeComletImage(Core& core, const Anchor& anchor);
 
 /// Rebuilds a complet from EncodeComletImage bytes with its identity
 /// re-established; references re-bind carrying the saved routing hints.
-/// The caller installs it (Core::Install or the WAL's quiet restore).
+/// The caller installs it: quietly (WAL replay) or as an arrival
+/// (Core::AdoptCheckpoint).
 std::shared_ptr<Anchor> DecodeComletImage(Core& core, ComletId id,
                                           const std::vector<std::uint8_t>& body);
-
-struct RestoreResult {
-  std::vector<ComletId> restored;
-  /// Ids already hosted at the Core, left untouched; each fires a
-  /// completRestoreSkipped event instead of silently disappearing.
-  std::vector<ComletId> skipped;
-};
-
-/// Serializes every complet hosted at `core` (plus its name bindings).
-std::vector<std::uint8_t> SaveCoreImage(Core& core);
-
-/// Restores an image into `core`; already-hosted ids are reported (and
-/// announced) in `skipped` rather than overwritten.
-RestoreResult LoadCoreImage(Core& core, const std::vector<std::uint8_t>& image);
 
 }  // namespace fargo::core

@@ -246,8 +246,7 @@ WalRecord ReadMoveDeadRecord(serial::Reader& r) {
   return rec;
 }
 
-std::vector<std::uint8_t> EncodeWalRecord(const WalRecord& r) {
-  serial::Writer w;
+void WriteWalRecord(serial::Writer& w, const WalRecord& r) {
   w.WriteU8(r.kind);
   switch (r.kind) {
     case kWalInstall: WriteInstallRecord(w, r); break;
@@ -268,11 +267,9 @@ std::vector<std::uint8_t> EncodeWalRecord(const WalRecord& r) {
       throw FargoError("cannot encode wal record of unknown kind " +
                        std::to_string(r.kind));
   }
-  return w.Take();
 }
 
-WalRecord DecodeWalRecord(const std::vector<std::uint8_t>& bytes) {
-  serial::Reader r(bytes);
+WalRecord ReadWalRecord(serial::Reader& r) {
   const std::uint8_t kind = r.ReadU8();
   WalRecord rec;
   switch (kind) {
@@ -298,6 +295,29 @@ WalRecord DecodeWalRecord(const std::vector<std::uint8_t>& bytes) {
   return rec;
 }
 
+std::vector<std::uint8_t> EncodeWalRecord(const WalRecord& r) {
+  serial::Writer w;
+  WriteWalRecord(w, r);
+  return w.Take();
+}
+
+WalRecord DecodeWalRecord(const std::vector<std::uint8_t>& bytes) {
+  serial::Reader r(bytes);
+  return ReadWalRecord(r);
+}
+
+CheckpointRecords DecodeCheckpoint(const std::vector<std::uint8_t>& blob) {
+  serial::Reader r(blob);
+  CheckpointRecords ckpt;
+  ckpt.covered = r.ReadVarint();
+  while (!r.AtEnd()) ckpt.records.push_back(ReadWalRecord(r));
+  return ckpt;
+}
+
+std::string CheckpointBlobName(const std::string& core_name) {
+  return "ckpt/" + core_name;
+}
+
 // ==== Wal =====================================================================
 
 Wal::Wal(Core& core, sim::Storage& storage, SimTime checkpoint_interval)
@@ -315,10 +335,6 @@ Wal::Wal(Core& core, sim::Storage& storage, SimTime checkpoint_interval)
 }
 
 Wal::~Wal() = default;
-
-std::string Wal::CheckpointBlobName() const {
-  return "ckpt/" + core_.name();
-}
 
 void Wal::ArmCheckpoint() {
   if (checkpoint_interval_ <= 0 || checkpoint_armed_ || replaying_) return;
@@ -587,20 +603,36 @@ void Wal::LazySync() {
   });
 }
 
-std::vector<std::vector<std::uint8_t>> Wal::SidecarRecords() {
-  std::vector<std::vector<std::uint8_t>> out;
+void Wal::WriteCheckpointRecords(serial::Writer& blob) {
+  for (ComletId id : core_.ComletsHere()) {
+    const std::shared_ptr<Anchor> anchor = core_.repository().Get(id);
+    WalRecord rec;
+    rec.kind = kWalInstall;
+    rec.comlet = id;
+    rec.anchor_type = std::string(anchor->TypeName());
+    rec.image = EncodeComletImage(core_, *anchor);
+    WriteWalRecord(blob, rec);
+  }
+
+  for (const auto& [name, handle] : core_.naming().All()) {
+    WalRecord rec;
+    rec.kind = kWalBind;
+    rec.name = name;
+    rec.handle = handle;
+    WriteWalRecord(blob, rec);
+  }
 
   for (const TrackerEntry* e : core_.trackers_.All()) {
-    if (e->is_local()) continue;  // locals are re-derived from the image
+    if (e->is_local()) continue;  // locals are re-derived from the installs
     WalRecord rec;
     rec.kind = kWalTracker;
     rec.comlet = e->target;
     rec.next = e->next;
     rec.anchor_type = e->anchor_type;
-    out.push_back(EncodeWalRecord(rec));
+    WriteWalRecord(blob, rec);
   }
 
-  // The shard store is an ordered map, so the sidecar is deterministic.
+  // The shard store is an ordered map, so the checkpoint is deterministic.
   for (const auto& [id, entry] : core_.directory().store()) {
     WalRecord rec;
     rec.kind = kWalDirPublish;
@@ -608,7 +640,7 @@ std::vector<std::vector<std::uint8_t>> Wal::SidecarRecords() {
     rec.location = entry.location;
     rec.epoch = entry.epoch;
     rec.as_of = entry.as_of;
-    out.push_back(EncodeWalRecord(rec));
+    WriteWalRecord(blob, rec);
   }
 
   for (const net::ReplayDirectory::SeedEntry& e : core_.replay_.Snapshot()) {
@@ -617,7 +649,7 @@ std::vector<std::vector<std::uint8_t>> Wal::SidecarRecords() {
     rec.session = e.key;
     rec.reply_kind = static_cast<std::uint8_t>(e.reply_kind);
     rec.reply = e.reply;
-    out.push_back(EncodeWalRecord(rec));
+    WriteWalRecord(blob, rec);
   }
 
   for (const auto& [from, txn] : core_.movement().move_ins()) {
@@ -625,7 +657,7 @@ std::vector<std::vector<std::uint8_t>> Wal::SidecarRecords() {
     rec.kind = kWalMoveIn;
     rec.peer = CoreId{from};
     rec.txn = txn;
-    out.push_back(EncodeWalRecord(rec));
+    WriteWalRecord(blob, rec);
   }
 
   for (const auto& [from, txn] : core_.movement().dead_txns()) {
@@ -633,7 +665,7 @@ std::vector<std::vector<std::uint8_t>> Wal::SidecarRecords() {
     rec.kind = kWalMoveDead;
     rec.peer = CoreId{from};
     rec.txn = txn;
-    out.push_back(EncodeWalRecord(rec));
+    WriteWalRecord(blob, rec);
   }
 
   WalRecord meta;
@@ -650,15 +682,14 @@ std::vector<std::vector<std::uint8_t>> Wal::SidecarRecords() {
   comlet_seq_floor_ = meta.comlet_seq;
   correlation_floor_ = meta.correlation_seq;
   txn_floor_ = meta.txn_seq;
-  out.push_back(EncodeWalRecord(meta));
-  return out;
+  WriteWalRecord(blob, meta);
 }
 
 void Wal::Checkpoint() {
   if (replaying_ || !core_.alive_) return;
 
-  // Everything below `covered` is reflected in the image; truncation is
-  // clamped so unresolved prepares (and their staged streams) survive.
+  // Everything below `covered` is reflected in the checkpoint; truncation
+  // is clamped so unresolved prepares (and their staged streams) survive.
   const std::uint64_t covered = storage_.NextIndex(name_);
   std::uint64_t upto = covered;
   for (const auto& [txn, open] : open_txns_)
@@ -666,18 +697,15 @@ void Wal::Checkpoint() {
 
   serial::Writer blob;
   blob.WriteVarint(covered);
-  blob.WriteBytes(SaveCoreImage(core_));
-  const std::vector<std::vector<std::uint8_t>> side = SidecarRecords();
-  blob.WriteVarint(side.size());
-  for (const auto& rec : side) blob.WriteBytes(rec);
+  WriteCheckpointRecords(blob);
 
   fsync_counter_->Inc();
   const std::uint64_t epoch = core_.restart_epoch_;
-  storage_.PutBlob(CheckpointBlobName(), blob.Take())
+  storage_.PutBlob(CheckpointBlobName(core_.name()), blob.Take())
       // fargolint: allow(capture-this) the Core owns its Wal and outlives the cleared event queue
       .OnSettle([this, epoch, upto](sim::Future<sim::Unit>) {
-        // Truncate only once the image is durable: a crash mid-checkpoint
-        // keeps the old image and the untruncated log.
+        // Truncate only once the checkpoint is durable: a crash
+        // mid-checkpoint keeps the old one and the untruncated log.
         if (!core_.alive_ || core_.restart_epoch_ != epoch) return;
         storage_.TruncateLog(name_, upto);
         ++checkpoints_;
@@ -693,7 +721,7 @@ void Wal::OnCrash() {
   for (SeqWaiter& w : seq_waiters_) w.done.Resolve(sim::Unit{});
   seq_waiters_.clear();
   storage_.DropVolatile(name_);
-  storage_.DropVolatile(CheckpointBlobName());
+  storage_.DropVolatile(CheckpointBlobName(core_.name()));
 }
 
 void Wal::Recover() {
@@ -708,26 +736,15 @@ void Wal::Recover() {
   next_txn_ = 0;
   replay_covered_ = 0;
 
-  if (auto blob = storage_.GetBlob(CheckpointBlobName())) {
-    serial::Reader r(*blob);
-    replay_covered_ = r.ReadVarint();
-    const std::vector<std::uint8_t> image = r.ReadBytes();
-    (void)LoadCoreImage(core_, image);
-    const std::uint64_t n = r.ReadVarint();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      // The sidecar speaks as of `covered`, so its records apply fully.
-      ApplyRecord(DecodeWalRecord(r.ReadBytes()), replay_covered_);
-      ++records_replayed_;
-      replay_counter_->Inc();
-    }
+  if (auto blob = storage_.GetBlob(CheckpointBlobName(core_.name()))) {
+    const CheckpointRecords ckpt = DecodeCheckpoint(*blob);
+    replay_covered_ = ckpt.covered;
+    // The checkpoint speaks as of `covered`, so its records apply fully.
+    for (const WalRecord& rec : ckpt.records) ApplyRecord(rec, ckpt.covered);
   }
-
   std::uint64_t index = storage_.BaseIndex(name_);
-  for (const auto& bytes : storage_.ReadDurable(name_)) {
+  for (const auto& bytes : storage_.ReadDurable(name_))
     ApplyRecord(DecodeWalRecord(bytes), index++);
-    ++records_replayed_;
-    replay_counter_->Inc();
-  }
   replaying_ = false;
   ++recoveries_;
 
@@ -764,30 +781,32 @@ void Wal::Recover() {
 }
 
 void Wal::ApplyRecord(const WalRecord& rec, std::uint64_t index) {
+  ++records_replayed_;
+  replay_counter_->Inc();
   // Records below the checkpoint's covered index replay transaction
   // bookkeeping only: their state effects are already reflected (possibly
-  // more recently) in the restored image + sidecar.
-  const bool pre_image = index < replay_covered_;
+  // more recently) in the restored checkpoint.
+  const bool pre_checkpoint = index < replay_covered_;
   switch (rec.kind) {
     case kWalInstall:
     case kWalState:
-      if (!pre_image) core_.RestoreComlet(rec.comlet, rec.image);
+      if (!pre_checkpoint) core_.RestoreComlet(rec.comlet, rec.image);
       break;
     case kWalExec:
-      if (!pre_image)
+      if (!pre_checkpoint)
         core_.replay_.Seed(rec.session,
                            static_cast<net::MessageKind>(rec.reply_kind),
                            rec.reply);
       break;
     case kWalBind:
-      if (!pre_image) core_.naming_.Bind(rec.name, rec.handle);
+      if (!pre_checkpoint) core_.naming_.Bind(rec.name, rec.handle);
       break;
     case kWalTracker:
-      if (!pre_image && !core_.repository_.Contains(rec.comlet))
+      if (!pre_checkpoint && !core_.repository_.Contains(rec.comlet))
         core_.trackers_.SetForward(rec.comlet, rec.next, rec.anchor_type);
       break;
     case kWalDirPublish:
-      if (!pre_image)
+      if (!pre_checkpoint)
         core_.directory().ApplyFromWal(rec.comlet, rec.location, rec.epoch,
                                        rec.as_of);
       break;
@@ -804,7 +823,7 @@ void Wal::ApplyRecord(const WalRecord& rec, std::uint64_t index) {
       open.first_index = index;
       open.departing = rec.departing;
       open.stream = rec.stream;
-      if (!pre_image) {
+      if (!pre_checkpoint) {
         for (const auto& [id, type] : rec.departing) {
           core_.repository_.Remove(id);
           core_.trackers_.SetForward(id, rec.dest, type);
@@ -820,8 +839,9 @@ void Wal::ApplyRecord(const WalRecord& rec, std::uint64_t index) {
       next_txn_ = std::max(next_txn_, rec.txn);
       auto it = open_txns_.find(rec.txn);
       if (it != open_txns_.end()) {
-        // A pre-image abort's reinstall is already in the image.
-        if (!pre_image) core_.movement().ReinstallFromStream(it->second.stream);
+        // A pre-checkpoint abort's reinstall is already in the checkpoint.
+        if (!pre_checkpoint)
+          core_.movement().ReinstallFromStream(it->second.stream);
         open_txns_.erase(it);
       }
       break;
@@ -836,7 +856,7 @@ void Wal::ApplyRecord(const WalRecord& rec, std::uint64_t index) {
       core_.movement().RecordDeadTxn(rec.peer, rec.txn);
       break;
     case kWalRemove:
-      if (!pre_image) {
+      if (!pre_checkpoint) {
         core_.repository_.Remove(rec.comlet);
         core_.trackers_.SetForward(rec.comlet, rec.peer, rec.anchor_type);
       }

@@ -9,7 +9,14 @@
 // destination). Replies leave the Core only after a write barrier covers
 // the records behind them, so anything a peer observed is recoverable.
 //
-// Recovery replays checkpoint + log into a restarted Core. A PREPARE with
+// A checkpoint is a compacted prefix of the log: the index it covers, then
+// ordinary records that rebuild the Core as of that index (one install per
+// hosted complet, one bind per name, then trackers, directory-shard
+// records, replay windows, move-in marks and ceilings). Recovery replays
+// checkpoint + log into a restarted Core through one quiet path: no
+// arrival hooks, no events, no publishes until the final directory sweep.
+// A standby adopts a crashed Core's checkpoint instead as arrivals
+// (Core::AdoptCheckpoint). A PREPARE with
 // no resolution is an in-doubt move: the recovering source queries the
 // destination (kRecoveryQuery) — "did txn N from me ever install?" — and
 // either completes the commit or aborts and reinstalls the staged stream.
@@ -128,9 +135,24 @@ WalRecord ReadMoveInAckRecord(serial::Reader& r);
 void WriteMoveDeadRecord(serial::Writer& w, const WalRecord& r);
 WalRecord ReadMoveDeadRecord(serial::Reader& r);
 
-/// Kind byte + per-kind body.
+/// Kind byte + per-kind body. A record is self-delimiting, so a
+/// checkpoint blob holds records back to back.
+void WriteWalRecord(serial::Writer& w, const WalRecord& r);
+WalRecord ReadWalRecord(serial::Reader& r);
 std::vector<std::uint8_t> EncodeWalRecord(const WalRecord& r);
 WalRecord DecodeWalRecord(const std::vector<std::uint8_t>& bytes);
+
+/// A decoded checkpoint blob: the log index it covers and the records that
+/// rebuild the Core as of that index.
+struct CheckpointRecords {
+  std::uint64_t covered = 0;
+  std::vector<WalRecord> records;
+};
+/// Throws serial::SerialError on a malformed blob.
+CheckpointRecords DecodeCheckpoint(const std::vector<std::uint8_t>& blob);
+/// Storage blob holding the last durable checkpoint of the Core named
+/// `core_name`.
+std::string CheckpointBlobName(const std::string& core_name);
 
 // fargo: domain(core)
 class Wal {
@@ -207,8 +229,9 @@ class Wal {
   /// Coalesced background barrier: arms one if none is pending.
   void LazySync();
 
-  /// Saves a checkpoint image (SaveCoreImage) and truncates the log behind
-  /// it, clamped so records of still-open (unresolved) prepares survive.
+  /// Saves a checkpoint (covered index + records rebuilding the Core) and
+  /// truncates the log behind it, clamped so records of still-open
+  /// (unresolved) prepares survive.
   void Checkpoint();
 
   // ==== crash & recovery =====================================================
@@ -251,12 +274,10 @@ class Wal {
   void AppendMetaAndSync();
   void DrainSeqWaiters();
   void ApplyRecord(const WalRecord& rec, std::uint64_t index);
-  std::string CheckpointBlobName() const;
-  /// Log-truncation survivors that SaveCoreImage does not capture —
-  /// trackers, replay-window entries, directory-shard records, move-in
-  /// marks, ceilings — encoded as ordinary WAL records and replayed like
-  /// any others.
-  std::vector<std::vector<std::uint8_t>> SidecarRecords();
+  /// Writes the records that rebuild this Core into a checkpoint blob:
+  /// installs, binds, non-local trackers, directory-shard records,
+  /// replay-window entries, move-in and dead-txn marks, then the ceilings.
+  void WriteCheckpointRecords(serial::Writer& blob);
   /// Schedules one checkpoint `checkpoint_interval_` from now unless one is
   /// already pending; every Append re-arms, so quiescent logs stay quiet.
   void ArmCheckpoint();
@@ -272,9 +293,9 @@ class Wal {
   std::string name_;
   bool replaying_ = false;
   bool lazy_sync_armed_ = false;
-  /// While recovering: log index the restored checkpoint image speaks for.
+  /// While recovering: log index the restored checkpoint speaks for.
   /// Records below it replay transaction bookkeeping only — their state
-  /// effects are already (or more recently) reflected in the image.
+  /// effects are already (or more recently) reflected in the checkpoint.
   std::uint64_t replay_covered_ = 0;
   std::uint64_t next_txn_ = 0;
   // Ordered: in-doubt resolution and truncation clamping iterate this.

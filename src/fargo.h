@@ -27,6 +27,7 @@
 #include "src/core/repository.h"
 #include "src/core/runtime.h"
 #include "src/core/tracker.h"
+#include "src/core/wal.h"
 #include "src/monitor/ema.h"
 #include "src/monitor/events.h"
 #include "src/monitor/probe.h"

@@ -21,8 +21,6 @@ const char* ToString(EventKind kind) {
       return "coreUnreachable";
     case EventKind::kCoreRecovered:
       return "coreRecovered";
-    case EventKind::kComletRestoreSkipped:
-      return "completRestoreSkipped";
   }
   return "?";
 }
@@ -40,9 +38,6 @@ EventKind ParseEventKind(const std::string& name) {
     return EventKind::kCoreUnreachable;
   if (name == "coreRecovered" || name == "recovered")
     return EventKind::kCoreRecovered;
-  if (name == "completRestoreSkipped" || name == "comletRestoreSkipped" ||
-      name == "restoreSkipped")
-    return EventKind::kComletRestoreSkipped;
   throw FargoError("unknown event kind: " + name);
 }
 

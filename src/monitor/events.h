@@ -35,9 +35,6 @@ enum class EventKind : std::uint8_t {
   kThreshold = 3,
   kCoreUnreachable = 4,  ///< failure detector: peer missed K heartbeats
   kCoreRecovered = 5,    ///< failure detector: suspected peer answered again
-  /// Checkpoint restore found the complet already hosted and kept the live
-  /// copy (persistence.h RestoreResult::skipped).
-  kComletRestoreSkipped = 6,
 };
 
 const char* ToString(EventKind kind);

@@ -75,10 +75,6 @@ void TextMonitor::OnEvent(const monitor::Event& e) {
       out_ << "[monitor] ~ " << ToString(e.probe) << " = " << e.value
            << " at " << where << "\n";
       break;
-    case monitor::EventKind::kComletRestoreSkipped:
-      out_ << "[monitor] = " << ToString(e.comlet) << " restore skipped at "
-           << where << " (live copy kept)\n";
-      break;
   }
 }
 

@@ -6,13 +6,6 @@
 
 namespace fargo::sim {
 
-namespace detail {
-thread_local int tl_no_pump = 0;
-}  // namespace detail
-
-thread_local std::uint64_t Scheduler::AffinityScope::ambient_key_ = 0;
-thread_local bool Scheduler::AffinityScope::ambient_set_ = false;
-
 Scheduler::PumpGuard::PumpGuard() {
   if (detail::tl_no_pump > 0)
     throw FargoError(

@@ -43,7 +43,7 @@ namespace detail {
 /// locality steps and NoPumpScopes. A pump entered while it is non-zero
 /// throws. Thread-local, because the rule is about the calling thread's
 /// stack, not about one scheduler.
-extern thread_local int tl_no_pump;
+inline thread_local int tl_no_pump = 0;
 }  // namespace detail
 
 // fargo: domain(sim)
@@ -183,8 +183,10 @@ class Scheduler {
       ambient_set_ = false;
     }
 
-    static thread_local std::uint64_t ambient_key_;
-    static thread_local bool ambient_set_;
+    // Inline with constant initializers: every TU reads them directly,
+    // with no TLS wrapper call that sanitizers flag as a null load.
+    static inline thread_local std::uint64_t ambient_key_ = 0;
+    static inline thread_local bool ambient_set_ = false;
     std::uint64_t prev_key_;
     bool prev_set_;
   };

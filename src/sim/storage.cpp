@@ -1,9 +1,6 @@
 #include "src/sim/storage.h"
 
 #include <algorithm>
-#include <cstdio>
-
-#include "src/common/value.h"
 
 namespace fargo::sim {
 
@@ -157,60 +154,6 @@ std::optional<std::vector<std::uint8_t>> Storage::GetBlob(
   auto it = blobs_.find(name);
   if (it == blobs_.end()) return std::nullopt;
   return it->second;
-}
-
-void Storage::ExportLog(const std::string& log, const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) throw FargoError("cannot open for writing: " + path);
-  bool ok = true;
-  for (const std::vector<std::uint8_t>& rec : ReadDurable(log)) {
-    std::uint64_t len = rec.size();
-    std::uint8_t frame[10];
-    std::size_t n = 0;
-    while (len >= 0x80) {
-      frame[n++] = static_cast<std::uint8_t>(len) | 0x80;
-      len >>= 7;
-    }
-    frame[n++] = static_cast<std::uint8_t>(len);
-    ok = ok && std::fwrite(frame, 1, n, f) == n;
-    ok = ok && std::fwrite(rec.data(), 1, rec.size(), f) == rec.size();
-  }
-  std::fclose(f);
-  if (!ok) throw FargoError("short write exporting log to " + path);
-}
-
-void Storage::ImportLog(const std::string& log, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) throw FargoError("cannot open log file: " + path);
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-    bytes.insert(bytes.end(), buf, buf + n);
-  std::fclose(f);
-
-  std::lock_guard<std::mutex> lk(mu_);
-  Log& l = Named(log);
-  l.base = 0;
-  l.durable.clear();
-  l.tail.clear();
-  std::size_t pos = 0;
-  while (pos < bytes.size()) {
-    std::uint64_t len = 0;
-    int shift = 0;
-    while (true) {
-      if (pos >= bytes.size()) throw FargoError("truncated log frame in " + path);
-      const std::uint8_t b = bytes[pos++];
-      len |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) break;
-      shift += 7;
-    }
-    if (pos + len > bytes.size())
-      throw FargoError("truncated log record in " + path);
-    l.durable.emplace_back(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
-                           bytes.begin() + static_cast<std::ptrdiff_t>(pos + len));
-    pos += len;
-  }
 }
 
 }  // namespace fargo::sim

@@ -12,8 +12,7 @@
 // image intact.
 //
 // Everything is in-memory and driven by the shared Scheduler, so recovery
-// tests are exactly reproducible; Export/Import bridge a log's durable
-// prefix to a real file for use outside the simulation.
+// tests are exactly reproducible; the simulator writes no host files.
 #pragma once
 
 #include <cstdint>
@@ -89,13 +88,6 @@ class Storage {
   Future<Unit> PutBlob(const std::string& name, std::vector<std::uint8_t> bytes);
 
   std::optional<std::vector<std::uint8_t>> GetBlob(const std::string& name) const;
-
-  // ==== real files (outside the simulation) ==================================
-
-  /// Writes the durable prefix of `log` (record-length-framed) to `path`.
-  void ExportLog(const std::string& log, const std::string& path) const;
-  /// Replaces the durable prefix of `log` with the records in `path`.
-  void ImportLog(const std::string& log, const std::string& path);
 
   // ==== telemetry ============================================================
 

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/persistence.h"
 #include "tests/support/fixture.h"
 
 namespace fargo::testing {
@@ -99,28 +98,28 @@ TEST_F(HeartbeatTest, CrashStopsTheCrashedCoresOwnDetector) {
 
 TEST_F(HeartbeatTest, ScriptRuleRehomesCompletOffCrashedCore) {
   // The acceptance scenario: a checkpointed complet lives on core2; when
-  // core0's detector declares core2 unreachable, a script rule restores
-  // the checkpoint at core0 — the complet survives the crash.
+  // core0's detector declares core2 unreachable, a script rule has core0
+  // adopt core2's checkpoint — the complet survives the crash.
   auto cores = MakeCores(3, Millis(1));
   auto precious = cores[2]->New<Message>("precious-state");
   cores[2]->naming().Bind("precious", precious.handle());
+  // A Core made durable checkpoints everything it already holds.
+  cores[2]->EnableWal(/*checkpoint_interval=*/0);
 
   // Route a call so core0's tracker depends on core2.
   auto stub = cores[0]->RefFromHandle(precious.handle());
   EXPECT_EQ(stub.Call("print").AsString(), "precious-state");
 
-  const std::vector<std::uint8_t> checkpoint = core::SaveCoreImage(*cores[2]);
-
   script::Engine engine(rt, *cores[0]);
-  std::vector<CoreId> restored_from;
-  engine.RegisterAction("restore",
+  std::vector<CoreId> adopted_from;
+  engine.RegisterAction("adopt",
                         [&](script::Engine&, const std::vector<Value>& args) {
-                          restored_from.push_back(CoreId{
+                          adopted_from.push_back(CoreId{
                               static_cast<std::uint32_t>(args.at(0).AsInt())});
-                          core::LoadCoreImage(*cores[0], checkpoint);
+                          cores[0]->AdoptCheckpoint(adopted_from.back());
                         });
   engine.Run("on coreUnreachable firedby $peer listenAt core0 do\n"
-             "  restore $peer\n"
+             "  adopt $peer\n"
              "end");
 
   cores[0]->EnableHeartbeat(Millis(100), 3);
@@ -128,12 +127,12 @@ TEST_F(HeartbeatTest, ScriptRuleRehomesCompletOffCrashedCore) {
   rt.RunFor(Seconds(1));
 
   ASSERT_GE(engine.rule_firings(), 1u);
-  ASSERT_FALSE(restored_from.empty());
-  EXPECT_EQ(restored_from[0], cores[2]->id());
+  ASSERT_FALSE(adopted_from.empty());
+  EXPECT_EQ(adopted_from[0], cores[2]->id());
   EXPECT_TRUE(cores[0]->repository().Contains(precious.target()));
 
-  // The restored complet serves invocations again (fresh route from the
-  // restoring Core's ground truth).
+  // The adopted complet serves invocations again (fresh route from the
+  // adopting Core's ground truth).
   auto again = cores[1]->RefFromHandle(
       ComletHandle{precious.target(), cores[0]->id(), ""});
   EXPECT_EQ(again.Call("print").AsString(), "precious-state");

@@ -1,6 +1,6 @@
-// Persistence (§7 future work): checkpoint/restore of a Core's complets —
-// including crash recovery onto a different Core, where the home registry
-// re-routes surviving references.
+// Persistence (§7 future work): a standby Core adopts a crashed durable
+// Core's last checkpoint — including crash recovery onto a different Core,
+// where the home registry re-routes surviving references.
 #include <gtest/gtest.h>
 
 #include "tests/support/fixture.h"
@@ -8,22 +8,28 @@
 namespace fargo::testing {
 namespace {
 
-using core::LoadCoreImage;
-using core::SaveCoreImage;
+class PersistenceTest : public FargoTest {
+ protected:
+  /// Makes `core`'s current state its durable checkpoint: enabling the
+  /// WAL checkpoints everything the Core already holds.
+  void Checkpoint(core::Core& core) {
+    core.EnableWal(/*checkpoint_interval=*/0);
+    rt.RunUntilIdle();
+  }
+};
 
-class PersistenceTest : public FargoTest {};
-
-TEST_F(PersistenceTest, ImageRoundTripsStateAndIdentity) {
+TEST_F(PersistenceTest, AdoptRoundTripsStateIdentityAndBindings) {
   auto cores = MakeCores(2);
   auto counter = cores[0]->New<Counter>();
   counter.Call("increment", {Value(41)});
   auto msg = cores[0]->New<Message>("persisted");
   cores[0]->BindName("msg", msg);
+  Checkpoint(*cores[0]);
+  cores[0]->Crash();
 
-  std::vector<std::uint8_t> image = SaveCoreImage(*cores[0]);
-  auto restored = LoadCoreImage(*cores[1], image);
-  EXPECT_EQ(restored.restored.size(), 2u);
-  EXPECT_TRUE(restored.skipped.empty());
+  const std::vector<ComletId> adopted =
+      cores[1]->AdoptCheckpoint(cores[0]->id());
+  EXPECT_EQ(adopted.size(), 2u);
 
   // Identities preserved; state preserved; name bindings carried over.
   EXPECT_TRUE(cores[1]->repository().Contains(counter.target()));
@@ -35,36 +41,42 @@ TEST_F(PersistenceTest, ImageRoundTripsStateAndIdentity) {
   EXPECT_EQ(named->id, msg.target());
 }
 
-TEST_F(PersistenceTest, RestoreSkipsAlreadyHostedComplets) {
-  auto cores = MakeCores(1);
-  auto counter = cores[0]->New<Counter>();
-  std::vector<std::uint8_t> image = SaveCoreImage(*cores[0]);
-  // Each skipped id is announced so recovery code can reconcile.
-  std::vector<ComletId> announced;
-  cores[0]->events().Listen(
-      monitor::EventKind::kComletRestoreSkipped,
-      [&announced](const monitor::Event& e) { announced.push_back(e.comlet); });
-  auto restored = LoadCoreImage(*cores[0], image);  // restore onto itself
-  EXPECT_TRUE(restored.restored.empty());
-  ASSERT_EQ(restored.skipped.size(), 1u);
-  EXPECT_EQ(restored.skipped[0], counter.target());
-  EXPECT_EQ(cores[0]->repository().size(), 1u);
-  rt.RunUntilIdle();  // listeners are notified asynchronously
-  ASSERT_EQ(announced.size(), 1u);
-  EXPECT_EQ(announced[0], counter.target());
+TEST_F(PersistenceTest, AdoptingFromALiveCoreThrows) {
+  // A live source still hosts its complets: adopting them would make a
+  // second live copy.
+  auto cores = MakeCores(2);
+  cores[0]->New<Counter>();
+  Checkpoint(*cores[0]);
+  EXPECT_THROW(cores[1]->AdoptCheckpoint(cores[0]->id()), FargoError);
+  EXPECT_EQ(cores[1]->repository().size(), 0u);
 }
 
-TEST_F(PersistenceTest, ReferencesKeepRelocatorsAcrossRestore) {
+TEST_F(PersistenceTest, SecondAdoptSkipsAlreadyHostedComplets) {
+  auto cores = MakeCores(2);
+  auto counter = cores[0]->New<Counter>();
+  Checkpoint(*cores[0]);
+  cores[0]->Crash();
+
+  const std::vector<ComletId> first =
+      cores[1]->AdoptCheckpoint(cores[0]->id());
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0], counter.target());
+  // The live copy wins: nothing is adopted twice.
+  EXPECT_TRUE(cores[1]->AdoptCheckpoint(cores[0]->id()).empty());
+  EXPECT_EQ(cores[1]->repository().size(), 1u);
+}
+
+TEST_F(PersistenceTest, ReferencesKeepRelocatorsAcrossAdopt) {
   auto cores = MakeCores(2);
   auto worker = cores[0]->New<Worker>();
   auto data = cores[0]->New<Data>(std::size_t{100});
   worker.Call("bind", {Value(data.handle()), Value("pull")});
+  Checkpoint(*cores[0]);
+  cores[0]->Crash();
+  cores[1]->AdoptCheckpoint(cores[0]->id());
 
-  std::vector<std::uint8_t> image = SaveCoreImage(*cores[0]);
-  LoadCoreImage(*cores[1], image);
-
-  // The restored worker kept its pull reference (and it resolves to the
-  // restored data copy, colocated at core1).
+  // The adopted worker kept its pull reference (and it resolves to the
+  // adopted data copy, colocated at core1).
   auto ref = cores[1]->RefFromHandle(
       ComletHandle{worker.target(), cores[1]->id(), "test.Worker"});
   EXPECT_EQ(ref.Call("refType").AsString(), "pull");
@@ -73,19 +85,32 @@ TEST_F(PersistenceTest, ReferencesKeepRelocatorsAcrossRestore) {
             static_cast<std::int64_t>(cores[1]->id().value));
 }
 
-TEST_F(PersistenceTest, CorruptImageIsRejected) {
-  auto cores = MakeCores(1);
+TEST_F(PersistenceTest, CorruptCheckpointIsRejected) {
+  auto cores = MakeCores(3);
   cores[0]->New<Counter>();
-  std::vector<std::uint8_t> image = SaveCoreImage(*cores[0]);
-  image[0] ^= 0xff;  // break the magic
-  auto fresh = MakeCores(1);
-  EXPECT_THROW(LoadCoreImage(*cores[0], image), serial::SerialError);
-  image.clear();
-  EXPECT_THROW(LoadCoreImage(*cores[0], image), serial::SerialError);
+  Checkpoint(*cores[0]);
+  cores[0]->Crash();
+
+  const std::string blob_name = core::CheckpointBlobName(cores[0]->name());
+  std::vector<std::uint8_t> blob = *rt.storage().GetBlob(blob_name);
+  blob.pop_back();  // the last record runs off the end
+  rt.storage().PutBlob(blob_name, blob);
+  rt.RunUntilIdle();
+  EXPECT_THROW(cores[1]->AdoptCheckpoint(cores[0]->id()),
+               serial::SerialError);
+  rt.storage().PutBlob(blob_name, {});
+  rt.RunUntilIdle();
+  EXPECT_THROW(cores[1]->AdoptCheckpoint(cores[0]->id()),
+               serial::SerialError);
+  EXPECT_EQ(cores[1]->repository().size(), 0u);
+
+  // A Core that never checkpointed has nothing to adopt.
+  cores[2]->Crash();
+  EXPECT_THROW(cores[1]->AdoptCheckpoint(cores[2]->id()), FargoError);
 }
 
 TEST_F(PersistenceTest, CrashRecoveryWithHomeRegistryHealsReferences) {
-  // The full recovery story: checkpoint, crash, restore elsewhere; a
+  // The full recovery story: checkpoint, crash, adopt elsewhere; a
   // remote client's stale reference heals through the home registry.
   rt.EnableDirectory({});
   auto cores = MakeCores(3);
@@ -94,14 +119,14 @@ TEST_F(PersistenceTest, CrashRecoveryWithHomeRegistryHealsReferences) {
   auto client = cores[0]->RefTo<Counter>(counter.handle());
   EXPECT_EQ(client.Invoke<std::int64_t>("get"), 7);
 
-  std::vector<std::uint8_t> checkpoint = SaveCoreImage(*cores[1]);
+  Checkpoint(*cores[1]);
   cores[1]->Crash();
 
   cores[0]->SetRpcTimeout(Millis(200));
   EXPECT_THROW(client.Call("get"), UnreachableError);  // host is gone
 
-  // Operator restores the checkpoint on a standby core.
-  LoadCoreImage(*cores[2], checkpoint);
+  // Operator has a standby core adopt the checkpoint.
+  cores[2]->AdoptCheckpoint(cores[1]->id());
   rt.RunUntilIdle();
   // NOTE: this complet's home was core1 itself and died with it, so even
   // the registry can't help; the client re-resolves out of band (operator
@@ -112,8 +137,9 @@ TEST_F(PersistenceTest, CrashRecoveryWithHomeRegistryHealsReferences) {
 }
 
 TEST_F(PersistenceTest, CrashRecoveryHealsWhenHomeSurvives) {
-  // Home (origin) core survives; the hosting core crashes; restore on a
-  // standby core and the OLD stub heals transparently via the home.
+  // Home (origin) core survives; the hosting core crashes; a standby
+  // adopts its checkpoint and the OLD stub heals transparently via the
+  // home.
   rt.EnableDirectory({});
   auto cores = MakeCores(3);
   auto counter = cores[0]->New<Counter>();  // home: core0
@@ -121,9 +147,9 @@ TEST_F(PersistenceTest, CrashRecoveryHealsWhenHomeSurvives) {
   cores[0]->Move(counter, cores[1]->id());
   rt.RunUntilIdle();
 
-  std::vector<std::uint8_t> checkpoint = SaveCoreImage(*cores[1]);
+  Checkpoint(*cores[1]);
   cores[1]->Crash();
-  LoadCoreImage(*cores[2], checkpoint);
+  cores[2]->AdoptCheckpoint(cores[1]->id());
   rt.RunUntilIdle();  // home (core0) learns: counter @ core2
 
   cores[0]->SetRpcTimeout(Millis(200));

@@ -186,6 +186,42 @@ TEST_F(WalTest, DurableCoreRecoversStateNamesAndIdentity) {
   EXPECT_GE(cores[0]->wal()->recoveries(), 1u);
 }
 
+TEST_F(WalTest, CheckpointedComletsRecoverQuietly) {
+  // Recovery replays a checkpoint through the same quiet path as the log:
+  // no arrival hooks, no completArrived, and one directory publish per
+  // hosted complet (the final sweep), not one more per install.
+  rt.EnableDirectory({});
+  auto cores = MakeCores(1);
+  Wal& wal = cores[0]->EnableWal(/*checkpoint_interval=*/0);
+  auto msg = cores[0]->New<Message>("checkpointed");
+  cores[0]->New<Counter>();
+  rt.RunUntilIdle();
+  wal.Checkpoint();
+  rt.RunUntilIdle();
+  ASSERT_EQ(wal.durable_records(), 0u);  // everything is in the checkpoint
+  const int pre_arrivals =
+      std::dynamic_pointer_cast<Message>(
+          cores[0]->repository().Get(msg.target()))->pre_arrivals;
+
+  int arrived = 0;
+  cores[0]->events().Listen(monitor::EventKind::kComletArrived,
+                            [&arrived](const monitor::Event&) { ++arrived; });
+  const std::uint64_t publishes = rt.metrics().CounterValue("dir.publishes");
+  cores[0]->Crash();
+  cores[0]->Restart();
+  rt.RunUntilIdle();
+
+  auto restored = std::dynamic_pointer_cast<Message>(
+      cores[0]->repository().Get(msg.target()));
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(restored->text(), "checkpointed");
+  EXPECT_EQ(restored->pre_arrivals, pre_arrivals);
+  EXPECT_EQ(arrived, 0);
+  EXPECT_EQ(rt.metrics().CounterValue("dir.publishes") - publishes,
+            cores[0]->repository().size());
+  EXPECT_EQ(cores[0]->repository().size(), 2u);
+}
+
 TEST_F(WalTest, NonDurableRestartComesUpEmpty) {
   auto cores = MakeCores(1);
   auto counter = cores[0]->New<Counter>();

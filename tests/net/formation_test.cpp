@@ -57,8 +57,9 @@ class FormationTest : public ::testing::Test {
   };
   sim::SimScheduler sched;
   Network net;
-  Formation formation;
+  // Declared before `formation`, which the constructor builds from `a`.
   CoreId a{1}, b{2};
+  Formation formation;
   std::vector<Seen> arrivals;
   std::vector<Seen> sends;
 };

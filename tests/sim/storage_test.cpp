@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "src/sim/scheduler.h"
 
 namespace fargo::sim {
@@ -110,26 +108,6 @@ TEST_F(StorageTest, FsyncLatencyIsCharged) {
   sched.RunUntilIdle();
   EXPECT_EQ(sched.Now(), Millis(5));
   EXPECT_EQ(disk.stats().fsyncs, 1u);
-}
-
-TEST_F(StorageTest, ExportImportRoundTripsTheDurablePrefix) {
-  disk.Append("log", Rec(1));
-  disk.Append("log", Rec(2, 9));
-  disk.Sync("log");
-  disk.Append("log", Rec(3));  // volatile: not exported
-  sched.RunUntilIdle();
-
-  const std::string path = ::testing::TempDir() + "fargo_wal_export.bin";
-  disk.ExportLog("log", path);
-
-  SimScheduler sched2;
-  Storage disk2{sched2};
-  disk2.ImportLog("log", path);
-  const auto records = disk2.ReadDurable("log");
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0], Rec(1));
-  EXPECT_EQ(records[1], Rec(2, 9));
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -115,7 +115,8 @@ std::string ExtractWireSchema(const std::vector<SourceFile>& files) {
   }
   std::sort(msgs.begin(), msgs.end(), [](const MsgRow& a, const MsgRow& b) {
     if (a.name != b.name) return a.name < b.name;
-    return a.file < b.file;
+    if (a.file != b.file) return a.file < b.file;
+    return a.encoder < b.encoder;  // Encode* and Write* of one message
   });
   os << "  \"messages\": [\n";
   for (std::size_t i = 0; i < msgs.size(); ++i) {
